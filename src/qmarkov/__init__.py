@@ -18,6 +18,7 @@ from .analysis import (
 from .core import (
     Circuit,
     Counts,
+    Distribution,
     NoiseModel,
     Statevector,
     apply_single,
@@ -68,6 +69,7 @@ __all__ = [
     "CapacityError",
     "Circuit",
     "Counts",
+    "Distribution",
     "FidelityReport",
     "GateOp",
     "GateSequence",

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from .analysis import compare_runs, to_json_text
+from .analysis import compare_runs, to_json_text, validate_distribution
 from .core import Counts, NoiseModel, execute, probabilities, sample_counts
 from .errors import CapacityError, ValidationError
 from .gates import (
@@ -95,13 +95,9 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _reorder_keys(mapping: dict, order: str) -> dict:
-    if order == "time":
-        return mapping
-    return {
-        key[::-1]: value
-        for key, value in sorted(mapping.items(), key=lambda kv: kv[0][::-1])
-    }
+def _in_bit_order(result, order: str):
+    """A ``Distribution`` or ``Counts`` keyed in the requested bit order."""
+    return result if order == "time" else result.bit_reversed()
 
 
 def cmd_compile(args) -> int:
@@ -130,22 +126,22 @@ def cmd_run(args) -> int:
         raise ValidationError("--seed is required when sampling")
     state = execute(circuit, noise=noise, rng_seed=args.seed)
     if args.shots is None:
-        payload = _reorder_keys(probabilities(state), args.bit_order)
+        payload = _in_bit_order(probabilities(state), args.bit_order)
     else:
         counts = sample_counts(state, args.shots, args.seed, noise)
-        payload = counts.to_json_dict()
-        payload["counts"] = _reorder_keys(payload["counts"], args.bit_order)
+        payload = _in_bit_order(counts, args.bit_order).to_json_dict()
     _emit(to_json_text(payload), args.out)
     return 0
 
 
 def cmd_oracle(args) -> int:
     paths = enumerate_paths(load_chain(args.spec))
-    _emit(to_json_text(_reorder_keys(paths, args.bit_order)), args.out)
+    _emit(to_json_text(_in_bit_order(paths, args.bit_order)), args.out)
     return 0
 
 
 def _load_result(path):
+    """Parse a result file: a counts object or a bitstring->probability map."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -155,21 +151,18 @@ def _load_result(path):
         raise ValidationError(f"{path}: expected a JSON object")
     if set(data) == {"shots", "counts"}:
         return Counts.from_json_dict(data)
-    dist = {}
-    for key, value in data.items():
-        if not key or set(key) - {"0", "1"}:
-            raise ValidationError(f"{path}: malformed bitstring {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-            raise ValidationError(f"{path}: bad probability for {key!r}")
-        dist[key] = float(value)
-    if not dist or abs(sum(dist.values()) - 1.0) > 1e-9:
-        raise ValidationError(f"{path}: probabilities must sum to 1 within 1e-9")
-    return dist
+    return validate_distribution(data, str(path))
 
 
 def cmd_fidelity(args) -> int:
     report = compare_runs(_load_result(args.file_a), _load_result(args.file_b))
-    print(to_json_text(report.to_json_dict()))
+    # The same fields as report.to_json_dict(), with diffs kept as arrays.
+    payload = {
+        "distance": report.hellinger_distance,
+        "fidelity": report.hellinger_fidelity,
+        "diffs": report.diffs,
+    }
+    print(to_json_text(payload))
     return 0
 
 

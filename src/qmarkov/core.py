@@ -14,8 +14,9 @@ with no reductions, so results do not depend on BLAS thread counts.
 """
 
 import math
+import numbers
 import os
-from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,8 @@ from .gates import GateOp, is_unitary
 
 DEFAULT_MAX_QUBITS = 24
 MAX_QUBITS_ENV = "QSIM_MAX_QUBITS"
+DIST_SUM_ATOL = 1e-9
+MAX_KEY_BITS = 63
 
 
 def configured_max_qubits() -> int:
@@ -41,9 +44,147 @@ def configured_max_qubits() -> int:
     return value
 
 
-def bitstring(index: int, num_qubits: int) -> str:
-    """Time-ordered bitstring for a basis index (q0 leftmost)."""
-    return format(index, f"0{num_qubits}b")
+def bitstring_bytes(index: np.ndarray, width: int) -> np.ndarray:
+    """Time-ordered bitstrings (q0 leftmost) of basis indices, as ``S{width}``."""
+    if width == 0:
+        return np.zeros(len(index), dtype="S1")
+    bits = np.empty((len(index), width), dtype=np.uint8)
+    for col in range(width):
+        bits[:, col] = (index >> (width - 1 - col)) & 1
+    bits += ord("0")
+    return bits.view(f"S{width}").reshape(-1)
+
+
+def bitstrings(index: np.ndarray, width: int) -> list[str]:
+    """Time-ordered bitstrings (q0 leftmost) of basis indices."""
+    return bitstring_bytes(index, width).astype(str).tolist()
+
+
+def bit_reverse(index: np.ndarray, width: int) -> np.ndarray:
+    """Basis indices with their ``width`` bits in reverse order."""
+    out = np.zeros_like(index)
+    for bit in range(width):
+        out |= ((index >> bit) & 1) << (width - 1 - bit)
+    return out
+
+
+def parse_bitstring_map(mapping, what: str, integral: bool = False):
+    """The one validator for ``{bitstring: number}`` input.
+
+    Keys must be non-empty binary strings of one width, at most 63 bits (the
+    int64 basis index); values finite, non-negative numbers (ints when
+    ``integral``), never bools.  Returns ``(width, index, values, total)``:
+    each entry's basis index and float value in mapping order, and the plain
+    sequential ``sum`` of the values in that order.  An empty map has width 0.
+    """
+    keys = list(mapping)
+    raw = list(mapping.values())
+    if not keys:
+        return 0, np.zeros(0, dtype=np.int64), np.zeros(0), 0
+    try:
+        joined = "".join(keys)
+    except TypeError:
+        raise ValidationError(f"{what} has a key that is not a bitstring") from None
+    widths = sorted(set(map(len, keys)))
+    if len(widths) > 1:
+        raise ValidationError(f"{what} mixes bitstring lengths {widths[0]} and {widths[1]}")
+    width = widths[0]
+    try:
+        bits = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - np.uint8(ord("0"))
+        malformed = width == 0 or bool((bits > 1).any())
+    except UnicodeEncodeError:
+        malformed = True
+    if malformed:
+        key = next(k for k in keys if not k or set(k) - {"0", "1"})
+        raise ValidationError(f"{what} has a malformed bitstring {key!r}")
+    if width > MAX_KEY_BITS:
+        raise CapacityError(f"{what} has {width}-bit keys, the limit is {MAX_KEY_BITS}")
+    index = np.zeros(len(keys), dtype=np.int64)
+    for column in bits.reshape(-1, width).T:
+        index <<= 1
+        index |= column
+
+    kind = int if integral else numbers.Real
+    if not all(issubclass(t, kind) and not issubclass(t, bool) for t in set(map(type, raw))):
+        key = next(k for k, v in zip(keys, raw) if not isinstance(v, kind) or isinstance(v, bool))
+        raise ValidationError(f"{what} has a non-numeric value for {key!r}")
+    try:
+        values = np.array(raw, dtype=np.float64)
+    except OverflowError:
+        raise ValidationError(f"{what} has an int beyond the float range") from None
+    bad = ~(np.isfinite(values) & (values >= 0))
+    if bad.any():
+        key = keys[int(np.argmax(bad))]
+        raise ValidationError(f"{what} has a negative or non-finite value for {key!r}")
+    return width, index, values, sum(raw)
+
+
+class Distribution(Mapping):
+    """A distribution over a ``width``-bit register, held as arrays.
+
+    ``support`` is the sorted basis-index array of the listed entries (q0 the
+    most significant bit) and ``probs[i]`` is the probability of
+    ``support[i]``.  A computed result comes from its dense 2**width vector
+    via ``from_vector`` and lists the nonzero entries; a parsed map lists its
+    keys, so explicit zeros survive and no 2**width vector is allocated.  As
+    a ``Mapping[str, float]`` it iterates the support in index order, which
+    is sorted bitstring order; absent keys read as zero through ``.get``.
+    Bitstring keys are made only at the JSON edge.
+    """
+
+    __slots__ = ("width", "support", "probs")
+
+    def __init__(self, width: int, support: np.ndarray, probs: np.ndarray):
+        self.width = width
+        self.support = support
+        self.probs = probs
+
+    @classmethod
+    def from_vector(cls, width: int, vector: np.ndarray) -> "Distribution":
+        """The nonzero entries of a dense vector indexed by basis index."""
+        support = np.flatnonzero(vector)
+        return cls(width, support, vector[support])
+
+    @classmethod
+    def from_mapping(cls, mapping, what: str = "distribution", normalized: bool = False):
+        """Validate a bitstring->probability map; with ``normalized`` it must
+        also be non-empty and sum to 1 within 1e-9.  A ``Distribution`` is
+        returned as it is unless ``normalized`` asks for the sum check."""
+        if isinstance(mapping, Distribution) and not normalized:
+            return mapping
+        width, index, values, total = parse_bitstring_map(mapping, what)
+        if normalized:
+            if not len(index):
+                raise ValidationError(f"{what} is empty")
+            if abs(total - 1.0) > DIST_SUM_ATOL:
+                raise ValidationError(
+                    f"{what} sums to {total}, expected 1 within {DIST_SUM_ATOL}"
+                )
+        order = np.argsort(index, kind="stable")
+        return cls(width, index[order], values[order])
+
+    def bit_reversed(self) -> "Distribution":
+        """The same distribution keyed with q0 as the rightmost character."""
+        index = bit_reverse(self.support, self.width)
+        order = np.argsort(index)
+        return Distribution(self.width, index[order], self.probs[order])
+
+    def __len__(self) -> int:
+        return len(self.support)
+
+    def __iter__(self):
+        return iter(bitstrings(self.support, self.width))
+
+    def __getitem__(self, key: str) -> float:
+        if isinstance(key, str) and len(key) == self.width and not set(key) - {"0", "1"}:
+            index = int(key, 2)
+            pos = int(np.searchsorted(self.support, index))
+            if pos < len(self.support) and self.support[pos] == index:
+                return float(self.probs[pos])
+        raise KeyError(key)
+
+    def __repr__(self) -> str:
+        return f"Distribution({dict(self)!r})"
 
 
 @dataclass
@@ -140,15 +281,13 @@ def apply_two(
     )
 
 
-def probabilities(state: Statevector) -> dict[str, float]:
-    """Born-rule distribution over time-ordered bitstrings.
+def probabilities(state: Statevector) -> Distribution:
+    """Born-rule distribution over the register's basis states.
 
-    Bitstrings with exactly zero amplitude are omitted (absent keys read as
-    probability zero everywhere in this package).
+    Basis states with exactly zero amplitude are outside the support (absent
+    keys read as probability zero everywhere in this package).
     """
-    probs = np.abs(state.amplitudes) ** 2
-    n = state.num_qubits
-    return {bitstring(i, n): float(p) for i, p in enumerate(probs) if p != 0.0}
+    return Distribution.from_vector(state.num_qubits, np.abs(state.amplitudes) ** 2)
 
 
 @dataclass(frozen=True)
@@ -241,6 +380,11 @@ def _inplace_cnot(amps, control, target, num_qubits, scratch):
     dst[:] = quarter
 
 
+def _check_seed(rng_seed: int | None) -> None:
+    if rng_seed is not None and rng_seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {rng_seed}")
+
+
 def execute(
     circuit: Circuit,
     noise: NoiseModel | None = None,
@@ -261,6 +405,7 @@ def execute(
         )
     if noise is not None and not noise.is_noiseless and rng_seed is None:
         raise ValidationError("rng_seed is required when noise is enabled")
+    _check_seed(rng_seed)
     flip_prob = noise.gate_flip_prob if noise is not None else 0.0
     rng = np.random.default_rng(rng_seed) if flip_prob > 0.0 else None
 
@@ -293,22 +438,15 @@ class Counts:
     shots: int
 
     def __post_init__(self):
-        total = 0
-        width = None
-        for key, value in self.counts.items():
-            if not key or set(key) - {"0", "1"}:
-                raise ValidationError(f"malformed bitstring key {key!r}")
-            if width is None:
-                width = len(key)
-            elif len(key) != width:
-                raise ValidationError(
-                    f"bitstring keys mix lengths {width} and {len(key)}"
-                )
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValidationError(f"count for {key!r} must be a non-negative int")
-            total += value
+        total = parse_bitstring_map(self.counts, "counts", integral=True)[3]
         if total != self.shots:
             raise ValidationError(f"counts sum to {total}, expected shots={self.shots}")
+
+    def bit_reversed(self) -> "Counts":
+        """The same histogram keyed with q0 as the rightmost character."""
+        width, index, _, _ = parse_bitstring_map(self.counts, "counts", integral=True)
+        keys = bitstrings(bit_reverse(index, width), width)
+        return Counts(dict(zip(keys, self.counts.values())), self.shots)
 
     def to_json_dict(self) -> dict:
         """Serialized form: {"shots": int, "counts": {bitstring: int}}."""
@@ -343,6 +481,7 @@ def sample_counts(
         raise ValidationError(f"shots must be >= 1, got {shots}")
     if rng_seed is None:
         raise ValidationError("rng_seed is required for sampling")
+    _check_seed(rng_seed)
     n = state.num_qubits
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
@@ -353,5 +492,5 @@ def sample_counts(
         flips = rng.random((shots, n)) < flip_prob
         weights = 1 << np.arange(n - 1, -1, -1)  # q0 is the MSB
         outcomes = outcomes ^ (flips @ weights)
-    tallies = Counter(int(i) for i in outcomes)
-    return Counts({bitstring(i, n): c for i, c in sorted(tallies.items())}, shots)
+    index, tallies = np.unique(outcomes, return_counts=True)
+    return Counts(dict(zip(bitstrings(index, n), tallies.tolist())), shots)

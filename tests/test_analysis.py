@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qmarkov import (
     Counts,
+    Distribution,
     FidelityReport,
     NoiseModel,
     ValidationError,
@@ -21,6 +22,7 @@ from qmarkov import (
     execute,
     hellinger_distance,
     hellinger_fidelity,
+    probabilities,
     sample_counts,
     to_json_text,
     validate_distribution,
@@ -173,6 +175,31 @@ class TestCompareRuns:
             0.8008154866879663, abs=1e-12
         )
 
+    def test_wide_counts_stay_sparse(self):
+        # 40-bit keys: a 2**40 vector could not be allocated, so this only
+        # passes if the comparison works on the supports.
+        wide = "1" * 40
+        report = compare_runs(Counts({wide: 3}, 3), Counts({"0" * 40: 1, wide: 1}, 2))
+        assert report.diffs == {"0" * 40: 0.5, wide: 0.5}
+        assert report.hellinger_distance == pytest.approx(
+            math.sqrt(1.0 - math.sqrt(0.5)), abs=1e-15
+        )
+
+    def test_keyword_capacity_then_sampling(self, monkeypatch):
+        monkeypatch.setenv("QSIM_MAX_QUBITS", "2")
+        chain = worked_chain()
+        circuit = compile_to_circuit(chain, max_qubits=chain.steps)
+        state = execute(circuit, max_qubits=chain.steps)
+        counts = sample_counts(state, 256, 5)
+        assert len(next(iter(counts.counts))) == chain.steps > 2
+        report = compare_runs(probabilities(state), counts)
+        assert 0.0 <= report.hellinger_distance < 1.0
+
+    def test_report_json_dict_is_plain(self):
+        report = compare_runs({"00": 0.5, "11": 0.5}, Counts({"00": 3, "01": 1}, 4))
+        data = json.loads(json.dumps(report.to_json_dict()))
+        assert data["diffs"] == {"00": 0.25, "01": 0.25, "11": 0.5}
+
     def test_json_dict(self):
         report = FidelityReport(0.25, 0.75, {"0": 0.1}, 0, 8192)
         assert report.to_json_dict() == {
@@ -214,6 +241,20 @@ class TestJsonText:
         assert to_json_text(True) == "true"
         assert to_json_text(None) == "null"
         assert to_json_text([1, 2.5]) == "[1, 2.5]"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            to_json_text(bad)
+        with pytest.raises(ValidationError):
+            to_json_text({"a": [bad]})
+        with pytest.raises(ValidationError):
+            to_json_text(Distribution.from_vector(1, np.array([bad, 0.5])))
+
+    def test_distribution_matches_dict_form(self):
+        dist = Distribution.from_vector(2, np.array([0.0, 1.0 / 3.0, 0.0, 2.0 / 3.0]))
+        assert to_json_text(dist) == to_json_text(dict(dist.items()))
+        assert to_json_text(dist) == '{"01": 0.33333333333333331, "11": 0.66666666666666663}'
 
     def test_unserializable(self):
         with pytest.raises(TypeError):

@@ -1,0 +1,181 @@
+"""CLI output is byte-identical to the dict-of-bitstrings formulas.
+
+Every expected text here is built from plain dicts keyed by bitstrings and
+one reference formatter, independently of how the package represents
+distributions in memory.
+"""
+
+import json
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+from conftest import brute_paths, random_chain
+
+from qmarkov import compile_to_circuit, execute, load_chain
+from qmarkov.cli import main
+
+SHOTS = 2048
+READOUT = 0.03
+
+
+def reference_text(value) -> str:
+    """The serialization contract: dicts in insertion order, floats at .17g."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(
+            f"{json.dumps(k)}: {reference_text(v)}" for k, v in value.items()
+        ) + "}"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return json.dumps(value)
+
+
+def reversed_keys(mapping: dict) -> dict:
+    return {
+        key[::-1]: value
+        for key, value in sorted(mapping.items(), key=lambda kv: kv[0][::-1])
+    }
+
+
+def exact_dict(chain) -> dict:
+    probs = np.abs(execute(compile_to_circuit(chain)).amplitudes) ** 2
+    width = chain.steps
+    return {format(i, f"0{width}b"): float(p) for i, p in enumerate(probs) if p != 0.0}
+
+
+def counts_payload(chain, seed: int) -> dict:
+    # Draw order of sample_counts: outcomes first, then one uniform per bit.
+    n = chain.steps
+    probs = np.abs(execute(compile_to_circuit(chain)).amplitudes) ** 2
+    probs = probs / probs.sum()
+    rng = np.random.default_rng(seed)
+    outcomes = rng.choice(probs.size, size=SHOTS, p=probs)
+    flips = rng.random((SHOTS, n)) < READOUT
+    outcomes = outcomes ^ (flips @ (1 << np.arange(n - 1, -1, -1)))
+    tallies = Counter(int(i) for i in outcomes)
+    counts = {format(i, f"0{n}b"): c for i, c in sorted(tallies.items())}
+    return {"shots": SHOTS, "counts": counts}
+
+
+def fidelity_payload(ref: dict, obs: dict) -> dict:
+    keys = sorted(set(ref) | set(obs))
+    total = 0.0
+    for key in keys:
+        diff = math.sqrt(ref.get(key, 0.0)) - math.sqrt(obs.get(key, 0.0))
+        total += diff * diff
+    distance = min((1.0 / math.sqrt(2.0)) * math.sqrt(total), 1.0)
+    diffs = {key: abs(ref.get(key, 0.0) - obs.get(key, 0.0)) for key in keys}
+    return {"distance": distance, "fidelity": 1.0 - distance, "diffs": diffs}
+
+
+def spec_corpus(tmp_path):
+    rng = np.random.default_rng(4096)
+    chains = [random_chain(rng, steps=int(rng.integers(1, 13))) for _ in range(8)]
+    chains.append(random_chain(rng, steps=12))
+    out = []
+    for idx, chain in enumerate(chains):
+        path = tmp_path / f"spec{idx}.json"
+        path.write_text(json.dumps({
+            "steps": chain.steps,
+            "initial": {"p0": chain.initial[0]},
+            "transition": {
+                "p00": chain.transition[0][0], "p01": chain.transition[0][1],
+                "p10": chain.transition[1][0], "p11": chain.transition[1][1],
+            },
+        }))
+        out.append((str(path), load_chain(str(path))))
+    return out
+
+
+def cli_text(capsys, *argv) -> str:
+    """Exit status 0; the printed text, or the --out file's, without its newline."""
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    if "--out" in argv:
+        assert out == ""
+        with open(argv[argv.index("--out") + 1], encoding="utf-8") as fh:
+            out = fh.read()
+    assert out.endswith("\n")
+    return out[:-1]
+
+
+@pytest.fixture
+def corpus(tmp_path):
+    return spec_corpus(tmp_path)
+
+
+@pytest.mark.parametrize("order", ["time", "reversed"])
+def test_run_exact(capsys, corpus, order):
+    for spec, chain in corpus:
+        expected = exact_dict(chain)
+        if order == "reversed":
+            expected = reversed_keys(expected)
+        text = cli_text(capsys, "run", "--spec", spec, "--bit-order", order)
+        assert text == reference_text(expected)
+
+
+@pytest.mark.parametrize("order", ["time", "reversed"])
+def test_oracle(capsys, corpus, order):
+    for spec, chain in corpus:
+        expected = brute_paths(chain)
+        if order == "reversed":
+            expected = reversed_keys(expected)
+        text = cli_text(capsys, "oracle", "--spec", spec, "--bit-order", order)
+        assert text == reference_text(expected)
+
+
+@pytest.mark.parametrize("order", ["time", "reversed"])
+def test_sampled_run_with_readout_noise(capsys, corpus, order):
+    for seed, (spec, chain) in enumerate(corpus):
+        expected = counts_payload(chain, seed)
+        if order == "reversed":
+            expected["counts"] = reversed_keys(expected["counts"])
+        text = cli_text(
+            capsys, "run", "--spec", spec, "--shots", str(SHOTS), "--seed", str(seed),
+            "--noise-readout", repr(READOUT), "--bit-order", order,
+        )
+        assert text == reference_text(expected)
+
+
+def test_fidelity_distribution_vs_distribution(capsys, corpus, tmp_path):
+    for spec, chain in corpus:
+        run_file = tmp_path / "q.json"
+        oracle_file = tmp_path / "o.json"
+        quantum = exact_dict(chain)
+        classical = brute_paths(chain)
+        text = cli_text(capsys, "run", "--spec", spec, "--out", str(run_file))
+        assert text == reference_text(quantum)
+        text = cli_text(capsys, "oracle", "--spec", spec, "--out", str(oracle_file))
+        assert text == reference_text(classical)
+        text = cli_text(capsys, "fidelity", str(run_file), str(oracle_file))
+        expected = fidelity_payload(quantum, classical)
+        assert text == reference_text(expected)
+
+
+def test_fidelity_counts_vs_distribution(capsys, corpus, tmp_path):
+    for seed, (spec, chain) in enumerate(corpus):
+        counts_file = tmp_path / "counts.json"
+        oracle_file = tmp_path / "o.json"
+        cli_text(capsys, "run", "--spec", spec, "--shots", str(SHOTS), "--seed",
+                 str(seed), "--noise-readout", repr(READOUT), "--out", str(counts_file))
+        cli_text(capsys, "oracle", "--spec", spec, "--out", str(oracle_file))
+        text = cli_text(capsys, "fidelity", str(oracle_file), str(counts_file))
+        counts = counts_payload(chain, seed)["counts"]
+        observed = {key: value / SHOTS for key, value in counts.items()}
+        expected = fidelity_payload(brute_paths(chain), observed)
+        assert text == reference_text(expected)
+
+
+def test_fidelity_keeps_explicit_zero_entries(capsys, tmp_path):
+    hand = tmp_path / "hand.json"
+    hand.write_text('{"100": 0.25, "000": 0.5, "110": 0.25, "001": 0.0}')
+    exact = tmp_path / "exact.json"
+    exact.write_text('{"000": 0.5, "100": 0.25, "110": 0.125, "111": 0.125}')
+    text = cli_text(capsys, "fidelity", str(hand), str(exact))
+    assert '"001": 0' in text
+    expected = fidelity_payload(
+        {"000": 0.5, "001": 0.0, "100": 0.25, "110": 0.25},
+        {"000": 0.5, "100": 0.25, "110": 0.125, "111": 0.125},
+    )
+    assert text == reference_text(expected)

@@ -119,6 +119,22 @@ class TestRun:
         rev_dist = json.loads(rev_out)
         assert rev_dist == {key[::-1]: value for key, value in time_dist.items()}
 
+    def test_negative_seed(self, capsys, chain_spec_file):
+        code, out, err = run_cli(
+            capsys, "run", "--spec", chain_spec_file(), "--shots", "--seed", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_nan_spec_rejected(self, capsys, chain_spec_file, command):
+        path = chain_spec_file(p00=math.nan)
+        code, out, err = run_cli(capsys, command, "--spec", path)
+        assert code == 2
+        assert out == ""
+        assert "transition row 0" in err
+
     def test_out_file(self, capsys, chain_spec_file, tmp_path):
         target = tmp_path / "dist.json"
         code, out, _ = run_cli(
@@ -145,6 +161,12 @@ class TestOracle:
             "110": 0.125,
             "111": 0.125,
         }
+
+    def test_env_capacity_override(self, capsys, chain_spec_file, monkeypatch):
+        monkeypatch.setenv("QSIM_MAX_QUBITS", "2")
+        code, out, _ = run_cli(capsys, "oracle", "--spec", chain_spec_file(steps=3))
+        assert code == 3
+        assert out == ""
 
     def test_matches_run_exact(self, capsys, chain_spec_file):
         path = chain_spec_file(p0=0.3, p00=0.6, p01=0.4, p10=0.2, p11=0.8, steps=4)
@@ -215,6 +237,30 @@ class TestFidelity:
         path.write_text("[1, 2]")
         code, _, err = run_cli(capsys, "fidelity", str(path), str(path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        ("key", "expected"),
+        [("2" * 30, 2), ("x" * 70, 2), ("1" * 64, 3)],
+    )
+    def test_key_checks(self, capsys, tmp_path, monkeypatch, key, expected):
+        # Malformed keys are validation errors (2) whatever their width; only
+        # well-formed keys beyond the 63-bit index limit are capacity errors.
+        monkeypatch.setenv("QSIM_MAX_QUBITS", "4")
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({key: 1.0}))
+        code, out, _ = run_cli(capsys, "fidelity", str(path), str(path))
+        assert code == expected
+        assert out == ""
+
+    def test_counts_wider_than_register_capacity(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("QSIM_MAX_QUBITS", "2")
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps({"shots": 2, "counts": {"00000": 1, "11111": 1}}))
+        b.write_text(json.dumps({"shots": 1, "counts": {"11111": 1}}))
+        code, out, _ = run_cli(capsys, "fidelity", str(a), str(b))
+        assert code == 0
+        assert json.loads(out)["diffs"] == {"00000": 0.5, "11111": 0.5}
 
 
 class TestGateCheck:

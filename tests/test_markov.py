@@ -39,6 +39,13 @@ class TestChainValidation:
         with pytest.raises(ValidationError):
             BinaryMarkovChain((0.5, 0.5), ((1.2, -0.2), (0.0, 1.0)), 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries(self, bad):
+        with pytest.raises(ValidationError):
+            BinaryMarkovChain((0.5, 0.5), ((bad, 0.0), (0.0, 1.0)), 2)
+        with pytest.raises(ValidationError):
+            BinaryMarkovChain((bad, 0.5), ((1.0, 0.0), (0.0, 1.0)), 2)
+
     def test_steps_positive(self):
         with pytest.raises(ValidationError):
             BinaryMarkovChain((0.5, 0.5), ((1.0, 0.0), (0.0, 1.0)), 0)
@@ -118,7 +125,7 @@ class TestEnumeratePaths:
         chain = BinaryMarkovChain(
             (1.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), 25
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(CapacityError):
             enumerate_paths(chain)
 
 
