@@ -21,11 +21,8 @@ from .core import (
     Distribution,
     NoiseModel,
     Statevector,
-    apply_single,
-    apply_two,
     configured_max_qubits,
     execute,
-    init_statevector,
     probabilities,
     sample_counts,
 )
@@ -41,7 +38,6 @@ from .gates import (
     is_unitary,
     nth_root_x,
     nth_root_x_sequence,
-    phase_aligned_distance,
     remap_qubits,
     solve_rotation_order,
     standard_gate,
@@ -80,8 +76,6 @@ __all__ = [
     "TRANSIENT",
     "ValidationError",
     "anti_controlled_sequence",
-    "apply_single",
-    "apply_two",
     "chain_from_dict",
     "classify_states",
     "compare_runs",
@@ -96,13 +90,11 @@ __all__ = [
     "hellinger_distance",
     "hellinger_fidelity",
     "hitting_stats",
-    "init_statevector",
     "is_unitary",
     "load_chain",
     "marginal",
     "nth_root_x",
     "nth_root_x_sequence",
-    "phase_aligned_distance",
     "probabilities",
     "remap_qubits",
     "return_probability",

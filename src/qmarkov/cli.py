@@ -1,6 +1,7 @@
 """Command-line front end: compile, run, oracle, fidelity, gate-check.
 
-Exit codes: 0 success, 2 validation/usage error, 3 capacity exceeded.
+Exit codes: 0 success, 2 validation/usage error, 3 capacity exceeded or
+out of memory.
 """
 
 import argparse
@@ -199,6 +200,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
     except (ValidationError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

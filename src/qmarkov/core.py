@@ -1,10 +1,9 @@
-"""Exact statevector engine: gate kernels, circuit execution, sampling.
+"""Exact statevector engine: in-place H/X/U1/CNOT kernels run by ``execute``,
+and sampling.
 
 Basis index convention: the bit of qubit q0 is the most significant bit of
 the amplitude index, so ``format(index, f"0{n}b")`` is the time-ordered
-bitstring (leftmost character = q0).  Two-qubit kernels act on the sub-basis
-|control target> = 00, 01, 10, 11 with the control as the more significant
-bit of the pair.
+bitstring (leftmost character = q0).
 
 Determinism: all randomness flows through numpy's PCG64 generator
 (``np.random.default_rng``) seeded with a caller-supplied integer, and draws
@@ -22,16 +21,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .gates import GateOp, is_unitary
+from .gates import GateOp
 
 DEFAULT_MAX_QUBITS = 24
 MAX_QUBITS_ENV = "QSIM_MAX_QUBITS"
+MAX_QUBITS_CEILING = 58
 DIST_SUM_ATOL = 1e-9
 MAX_KEY_BITS = 63
 
 
 def configured_max_qubits() -> int:
-    """Capacity limit: the QSIM_MAX_QUBITS environment variable, else 24."""
+    """Capacity limit: the QSIM_MAX_QUBITS environment variable, else 24.
+
+    The variable must lie in [1, 58]: 2**58 complex128 amplitudes is the
+    largest buffer numpy can size, so a larger value is refused up front.
+    """
     raw = os.environ.get(MAX_QUBITS_ENV)
     if raw is None:
         return DEFAULT_MAX_QUBITS
@@ -39,9 +43,19 @@ def configured_max_qubits() -> int:
         value = int(raw)
     except ValueError as exc:
         raise ValidationError(f"{MAX_QUBITS_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValidationError(f"{MAX_QUBITS_ENV} must be >= 1, got {value}")
+    if not 1 <= value <= MAX_QUBITS_CEILING:
+        raise ValidationError(
+            f"{MAX_QUBITS_ENV} must lie in [1, {MAX_QUBITS_CEILING}], got {value}"
+        )
     return value
+
+
+def check_capacity(width: int, what: str, max_qubits: int | None = None) -> None:
+    """Refuse a ``width``-qubit ``what`` above ``max_qubits``, which defaults
+    to ``configured_max_qubits()``."""
+    limit = configured_max_qubits() if max_qubits is None else max_qubits
+    if width > limit:
+        raise CapacityError(f"{what} needs {width} qubits, capacity is {limit}")
 
 
 def bitstring_bytes(index: np.ndarray, width: int) -> np.ndarray:
@@ -208,79 +222,6 @@ class Statevector:
         self.amplitudes = amps
 
 
-def init_statevector(num_qubits: int, max_qubits: int | None = None) -> Statevector:
-    """All-|0> register state; rejects registers outside [1, capacity]."""
-    limit = configured_max_qubits() if max_qubits is None else max_qubits
-    if num_qubits < 1 or num_qubits > limit:
-        raise CapacityError(f"num_qubits must lie in [1, {limit}], got {num_qubits}")
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return Statevector(num_qubits, amps)
-
-
-def _apply_single_raw(amps, gate, target, num_qubits):
-    # q0 is the MSB, so qubit t splits the index as (2^t, 2, 2^(n-t-1)).
-    view = amps.reshape(1 << target, 2, 1 << (num_qubits - target - 1))
-    out = np.empty_like(view)
-    out[:, 0, :] = gate[0, 0] * view[:, 0, :] + gate[0, 1] * view[:, 1, :]
-    out[:, 1, :] = gate[1, 0] * view[:, 0, :] + gate[1, 1] * view[:, 1, :]
-    return out.reshape(amps.shape)
-
-
-def _apply_two_raw(amps, gate, control, target, num_qubits):
-    lo, hi = (control, target) if control < target else (target, control)
-    view = amps.reshape(
-        1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (num_qubits - hi - 1)
-    )
-    out = np.zeros_like(view)
-    for row in range(4):
-        bc, bt = row >> 1, row & 1
-        dst = (bc, bt) if control < target else (bt, bc)
-        for col in range(4):
-            entry = gate[row, col]
-            if entry == 0:
-                continue
-            sc, st = col >> 1, col & 1
-            src = (sc, st) if control < target else (st, sc)
-            out[:, dst[0], :, dst[1], :] += entry * view[:, src[0], :, src[1], :]
-    return out.reshape(amps.shape)
-
-
-def apply_single(state: Statevector, gate: np.ndarray, target: int) -> Statevector:
-    """Apply a 2x2 unitary to one qubit; returns a new state."""
-    gate = np.asarray(gate, dtype=np.complex128)
-    if gate.shape != (2, 2):
-        raise ValidationError(f"expected a 2x2 gate, got shape {gate.shape}")
-    if not is_unitary(gate):
-        raise ValidationError("gate is not unitary within 1e-10")
-    if not 0 <= target < state.num_qubits:
-        raise IndexError(f"target {target} out of range for {state.num_qubits} qubits")
-    return Statevector(
-        state.num_qubits,
-        _apply_single_raw(state.amplitudes, gate, target, state.num_qubits),
-    )
-
-
-def apply_two(
-    state: Statevector, gate: np.ndarray, control: int, target: int
-) -> Statevector:
-    """Apply a 4x4 unitary over the (control, target) pair; returns a new state."""
-    gate = np.asarray(gate, dtype=np.complex128)
-    if gate.shape != (4, 4):
-        raise ValidationError(f"expected a 4x4 gate, got shape {gate.shape}")
-    if not is_unitary(gate):
-        raise ValidationError("gate is not unitary within 1e-10")
-    for label, q in (("control", control), ("target", target)):
-        if not 0 <= q < state.num_qubits:
-            raise IndexError(f"{label} {q} out of range for {state.num_qubits} qubits")
-    if control == target:
-        raise ValidationError("control and target must differ")
-    return Statevector(
-        state.num_qubits,
-        _apply_two_raw(state.amplitudes, gate, control, target, state.num_qubits),
-    )
-
-
 def probabilities(state: Statevector) -> Distribution:
     """Born-rule distribution over the register's basis states.
 
@@ -324,7 +265,6 @@ class Circuit:
 
     num_qubits: int
     ops: list[GateOp] = field(default_factory=list)
-    measure_all: bool = True
 
     def __post_init__(self):
         if self.num_qubits < 1:
@@ -341,12 +281,12 @@ class Circuit:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _inplace_u1(amps, angle, target, num_qubits, scratch):
+def _inplace_u1(amps, angle, target):
     view = amps.reshape(1 << target, 2, -1)
     view[:, 1, :] *= np.exp(1j * angle)
 
 
-def _inplace_x(amps, target, num_qubits, scratch):
+def _inplace_x(amps, target, scratch):
     view = amps.reshape(1 << target, 2, -1)
     half = scratch[: view[:, 0, :].size].reshape(view[:, 0, :].shape)
     np.copyto(half, view[:, 0, :])
@@ -354,7 +294,7 @@ def _inplace_x(amps, target, num_qubits, scratch):
     view[:, 1, :] = half
 
 
-def _inplace_h(amps, target, num_qubits, scratch):
+def _inplace_h(amps, target, scratch):
     view = amps.reshape(1 << target, 2, -1)
     lower = view[:, 0, :]
     upper = view[:, 1, :]
@@ -365,7 +305,7 @@ def _inplace_h(amps, target, num_qubits, scratch):
     np.multiply(diff, _INV_SQRT2, out=upper)
 
 
-def _inplace_cnot(amps, control, target, num_qubits, scratch):
+def _inplace_cnot(amps, control, target, scratch):
     lo, hi = (control, target) if control < target else (target, control)
     view = amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
     if control < target:
@@ -398,11 +338,7 @@ def execute(
     stochastic X insertions (control first for CNOT), so the result is
     reproducible per seed.
     """
-    limit = configured_max_qubits() if max_qubits is None else max_qubits
-    if circuit.num_qubits > limit:
-        raise CapacityError(
-            f"circuit needs {circuit.num_qubits} qubits, capacity is {limit}"
-        )
+    check_capacity(circuit.num_qubits, "circuit", max_qubits)
     if noise is not None and not noise.is_noiseless and rng_seed is None:
         raise ValidationError("rng_seed is required when noise is enabled")
     _check_seed(rng_seed)
@@ -416,17 +352,17 @@ def execute(
     scratch = np.empty(max(1, amps.size // 2), dtype=np.complex128)
     for op in circuit.ops:
         if op.name == "H":
-            _inplace_h(amps, op.qubits[0], n, scratch)
+            _inplace_h(amps, op.qubits[0], scratch)
         elif op.name == "U1":
-            _inplace_u1(amps, op.angle, op.qubits[0], n, scratch)
+            _inplace_u1(amps, op.angle, op.qubits[0])
         elif op.name == "X":
-            _inplace_x(amps, op.qubits[0], n, scratch)
+            _inplace_x(amps, op.qubits[0], scratch)
         else:
-            _inplace_cnot(amps, op.qubits[0], op.qubits[1], n, scratch)
+            _inplace_cnot(amps, op.qubits[0], op.qubits[1], scratch)
         if rng is not None:
             for q in op.qubits:
                 if rng.random() < flip_prob:
-                    _inplace_x(amps, q, n, scratch)
+                    _inplace_x(amps, q, scratch)
     return Statevector(n, amps)
 
 

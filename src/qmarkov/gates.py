@@ -220,23 +220,3 @@ def compose_sequence(seq: GateSequence, num_qubits: int) -> np.ndarray:
         total = _embed(op, num_qubits) @ total
     return total
 
-
-def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max entrywise distance after removing a global phase.
-
-    Diagnostic helper only: the shipped decompositions compose exactly and
-    are always compared without phase slack.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    anchor = int(np.argmax(np.abs(a)))
-    ref = a.flat[anchor]
-    if abs(ref) == 0.0:
-        return float(np.max(np.abs(a - b)))
-    phase = b.flat[anchor] / ref
-    if abs(phase) == 0.0:
-        return float(np.max(np.abs(a - b)))
-    phase /= abs(phase)
-    return float(np.max(np.abs(phase * a - b)))

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circuit, Distribution, configured_max_qubits
-from .errors import CapacityError, ValidationError
+from .core import Circuit, Distribution, check_capacity
+from .errors import ValidationError
 from .gates import (
     anti_controlled_sequence,
     controlled_nth_root_x_sequence,
@@ -122,9 +122,7 @@ def compile_to_circuit(
     rotation encoding P(next=1 | current=0) = p01.  Pair parameters are
     identical for every t since the chain is homogeneous.
     """
-    limit = configured_max_qubits() if max_qubits is None else max_qubits
-    if chain.steps > limit:
-        raise CapacityError(f"chain needs {chain.steps} qubits, capacity is {limit}")
+    check_capacity(chain.steps, "chain", max_qubits)
     p01 = chain.transition[0][1]
     p11 = chain.transition[1][1]
     ops = remap_qubits(
@@ -136,7 +134,7 @@ def compile_to_circuit(
         ops.extend(remap_qubits(pair, (t, t + 1)))
         if anti is not None:
             ops.extend(remap_qubits(anti, (t, t + 1)))
-    return Circuit(chain.steps, ops, measure_all=True)
+    return Circuit(chain.steps, ops)
 
 
 def enumerate_paths(chain: BinaryMarkovChain) -> Distribution:
@@ -147,9 +145,7 @@ def enumerate_paths(chain: BinaryMarkovChain) -> Distribution:
     and the stepwise transition probabilities.  Exact zeros are outside the
     support.  Bounded by the same register capacity as the quantum route.
     """
-    limit = configured_max_qubits()
-    if chain.steps > limit:
-        raise CapacityError(f"chain needs {chain.steps} steps, capacity is {limit}")
+    check_capacity(chain.steps, "chain")
     probs = np.array(chain.initial, dtype=float)
     matrix = chain.transition_matrix
     for _ in range(chain.steps - 1):

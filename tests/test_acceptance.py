@@ -13,9 +13,9 @@ from conftest import assert_dist_close, random_chain, worked_chain
 
 from qmarkov import (
     BinaryMarkovChain,
+    Circuit,
     NoiseModel,
     RotationOrder,
-    apply_single,
     compile_to_circuit,
     compose_sequence,
     controlled_nth_root_x,
@@ -25,7 +25,6 @@ from qmarkov import (
     execute,
     hellinger_distance,
     hellinger_fidelity,
-    init_statevector,
     marginal,
     nth_root_x,
     nth_root_x_sequence,
@@ -89,7 +88,7 @@ def test_criterion_3_solver_round_trip():
         start = time.perf_counter()
         for p0 in np.linspace(0.0, 1.0, 101):
             order = solve_rotation_order(float(p0))
-            state = apply_single(init_statevector(1), nth_root_x(order), 0)
+            state = execute(Circuit(1, nth_root_x_sequence(order)))
             recovered = probabilities(state).get("0", 0.0)
             assert abs(recovered - p0) <= 1e-10
         assert time.perf_counter() - start < 1.0

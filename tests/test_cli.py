@@ -135,6 +135,30 @@ class TestRun:
         assert out == ""
         assert "transition row 0" in err
 
+    def test_env_capacity_beyond_numpy_refused(self, capsys, chain_spec_file, monkeypatch):
+        # 2**64 amplitudes cannot be sized; refused before execute allocates.
+        monkeypatch.setenv("QSIM_MAX_QUBITS", "64")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("execute reached")
+
+        monkeypatch.setattr("qmarkov.cli.execute", unreachable)
+        code, out, err = run_cli(capsys, "run", "--spec", chain_spec_file(steps=64))
+        assert code == 2
+        assert out == ""
+        assert "QSIM_MAX_QUBITS" in err and "58" in err
+        assert "Traceback" not in err
+
+    def test_out_of_memory_exit_code(self, capsys, chain_spec_file, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 16.0 TiB")
+
+        monkeypatch.setattr("qmarkov.cli.execute", exhausted)
+        code, out, err = run_cli(capsys, "run", "--spec", chain_spec_file())
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: out of memory") and "16.0 TiB" in err
+
     def test_out_file(self, capsys, chain_spec_file, tmp_path):
         target = tmp_path / "dist.json"
         code, out, _ = run_cli(

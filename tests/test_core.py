@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import unitary_group
 
 from qmarkov import (
     CapacityError,
@@ -16,21 +15,18 @@ from qmarkov import (
     RotationOrder,
     Statevector,
     ValidationError,
-    apply_single,
-    apply_two,
-    controlled_nth_root_x,
+    controlled_nth_root_x_sequence,
     execute,
     hellinger_fidelity,
-    init_statevector,
     probabilities,
+    remap_qubits,
     sample_counts,
     standard_gate,
 )
 from qmarkov.analysis import counts_to_distribution
 
-H = standard_gate("H")
 X = standard_gate("X")
-CNOT = standard_gate("CNOT")
+ZERO = Statevector(1, np.array([1.0, 0.0]))
 
 
 def random_state(rng, num_qubits):
@@ -40,39 +36,43 @@ def random_state(rng, num_qubits):
     return Statevector(num_qubits, raw / np.linalg.norm(raw))
 
 
+def run(num_qubits, *ops, **kwargs):
+    """Amplitudes of ``execute`` on a circuit of the given primitives."""
+    return execute(Circuit(num_qubits, list(ops)), **kwargs).amplitudes
+
+
 class TestInit:
     def test_one_qubit(self):
-        state = init_statevector(1)
-        np.testing.assert_array_equal(state.amplitudes, [1, 0])
+        np.testing.assert_array_equal(run(1), [1, 0])
 
     def test_three_qubits(self):
-        state = init_statevector(3)
-        assert state.amplitudes[0] == 1.0
-        assert not state.amplitudes[1:].any()
+        amps = run(3)
+        assert amps[0] == 1.0
+        assert not amps[1:].any()
 
     def test_zero_qubits_rejected(self):
-        with pytest.raises(CapacityError):
-            init_statevector(0)
+        with pytest.raises(ValidationError):
+            run(0)
 
     def test_capacity_default(self):
         with pytest.raises(CapacityError):
-            init_statevector(25)
+            run(25)
 
     def test_capacity_override_param(self):
         with pytest.raises(CapacityError):
-            init_statevector(5, max_qubits=4)
-        assert init_statevector(4, max_qubits=4).num_qubits == 4
+            run(5, max_qubits=4)
+        assert len(run(4, max_qubits=4)) == 16
 
     def test_capacity_env(self, monkeypatch):
         monkeypatch.setenv("QSIM_MAX_QUBITS", "3")
         with pytest.raises(CapacityError):
-            init_statevector(4)
-        assert init_statevector(3).num_qubits == 3
+            run(4)
+        assert len(run(3)) == 8
 
     def test_capacity_env_malformed(self, monkeypatch):
         monkeypatch.setenv("QSIM_MAX_QUBITS", "many")
         with pytest.raises(ValidationError):
-            init_statevector(2)
+            run(2)
 
 
 class TestStatevectorInvariants:
@@ -87,64 +87,36 @@ class TestStatevectorInvariants:
 
 class TestApplySingle:
     def test_hadamard_on_zero(self):
-        state = apply_single(init_statevector(1), H, 0)
         np.testing.assert_allclose(
-            state.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15
+            run(1, GateOp("H", (0,))), [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15
         )
 
     def test_x_on_zero(self):
-        state = apply_single(init_statevector(1), X, 0)
-        np.testing.assert_array_equal(state.amplitudes, [0, 1])
+        np.testing.assert_array_equal(run(1, GateOp("X", (0,))), [0, 1])
 
     def test_phase_on_superposition(self):
-        state = apply_single(init_statevector(1), H, 0)
-        state = apply_single(state, standard_gate("U1", math.pi / 3), 0)
+        amps = run(1, GateOp("H", (0,)), GateOp("U1", (0,), math.pi / 3))
         expected = np.array(
             [1 / math.sqrt(2), np.exp(1j * math.pi / 3) / math.sqrt(2)]
         )
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
-
-    def test_non_unitary_rejected(self):
-        with pytest.raises(ValidationError):
-            apply_single(init_statevector(1), np.array([[1, 0], [1, 0]]), 0)
-
-    def test_bad_index(self):
-        with pytest.raises(IndexError):
-            apply_single(init_statevector(1), H, 1)
-
-    def test_input_state_unchanged(self):
-        state = init_statevector(2)
-        before = state.amplitudes.copy()
-        apply_single(state, H, 0)
-        np.testing.assert_array_equal(state.amplitudes, before)
+        np.testing.assert_allclose(amps, expected, atol=1e-15)
 
 
 class TestApplyTwo:
     def test_cnot_flips_target(self):
         # |10> (control q0 set) -> |11>
-        state = apply_single(init_statevector(2), X, 0)
-        state = apply_two(state, CNOT, 0, 1)
-        np.testing.assert_allclose(state.amplitudes, [0, 0, 0, 1], atol=1e-15)
+        amps = run(2, GateOp("X", (0,)), GateOp("CNOT", (0, 1)))
+        np.testing.assert_allclose(amps, [0, 0, 0, 1], atol=1e-15)
 
     def test_cnot_identity_on_clear_control(self):
-        state = apply_two(init_statevector(2), CNOT, 0, 1)
-        np.testing.assert_array_equal(state.amplitudes, [1, 0, 0, 0])
+        np.testing.assert_array_equal(run(2, GateOp("CNOT", (0, 1))), [1, 0, 0, 0])
 
     def test_controlled_half_turn_on_10(self):
-        state = apply_single(init_statevector(2), X, 0)
-        gate = controlled_nth_root_x(RotationOrder(math.pi / 2))
-        state = apply_two(state, gate, 0, 1)
+        seq = controlled_nth_root_x_sequence(RotationOrder(math.pi / 2))
+        amps = run(2, GateOp("X", (0,)), *remap_qubits(seq, (0, 1)))
         np.testing.assert_allclose(
-            state.amplitudes, [0, 0, (1 + 1j) / 2, (1 - 1j) / 2], atol=1e-15
+            amps, [0, 0, (1 + 1j) / 2, (1 - 1j) / 2], atol=1e-15
         )
-
-    def test_control_equals_target(self):
-        with pytest.raises(ValidationError):
-            apply_two(init_statevector(2), CNOT, 1, 1)
-
-    def test_bad_index(self):
-        with pytest.raises(IndexError):
-            apply_two(init_statevector(2), CNOT, 0, 2)
 
 
 def dense_single(gate, target, num_qubits):
@@ -176,42 +148,79 @@ def dense_two(gate, control, target, num_qubits):
     return out
 
 
+def dense_op(op, num_qubits):
+    """The dense oracle matrix of one primitive."""
+    if op.name == "CNOT":
+        return dense_two(op.matrix(), *op.qubits, num_qubits)
+    return dense_single(op.matrix(), op.qubits[0], num_qubits)
+
+
+def zero_state(num_qubits):
+    state = np.zeros(1 << num_qubits, dtype=complex)
+    state[0] = 1.0
+    return state
+
+
 class TestKernelsAgainstDenseOracle:
+    @staticmethod
+    def check_prefixes(num_qubits, ops):
+        """``execute`` on every prefix of ``ops`` against the dense oracle."""
+        expected = zero_state(num_qubits)
+        for stop, op in enumerate(ops, 1):
+            expected = dense_op(op, num_qubits) @ expected
+            np.testing.assert_allclose(
+                run(num_qubits, *ops[:stop]), expected, atol=1e-12, rtol=0
+            )
+
+    @staticmethod
+    def spread(rng, num_qubits):
+        """H then a random phase on every qubit: a state with no zero amplitude."""
+        ops = [GateOp("H", (q,)) for q in range(num_qubits)]
+        ops += [
+            GateOp("U1", (q,), float(rng.uniform(-math.pi, math.pi)))
+            for q in range(num_qubits)
+        ]
+        return ops
+
     def test_single_qubit_kernels(self):
+        # Every single-qubit kernel on every target, in shuffled order.
         rng = np.random.default_rng(21)
         for num_qubits in range(1, 6):
-            for _ in range(4):
-                gate = unitary_group.rvs(2, random_state=rng)
-                target = int(rng.integers(num_qubits))
-                state = random_state(rng, num_qubits)
-                via_kernel = apply_single(state, gate, target).amplitudes
-                via_dense = dense_single(gate, target, num_qubits) @ state.amplitudes
-                np.testing.assert_allclose(via_kernel, via_dense, atol=1e-12, rtol=0)
+            cover = [GateOp(name, (q,)) for q in range(num_qubits) for name in ("H", "X")]
+            cover += [
+                GateOp("U1", (q,), float(rng.uniform(-math.pi, math.pi)))
+                for q in range(num_qubits)
+            ]
+            ops = self.spread(rng, num_qubits)
+            for _ in range(2):
+                ops += [cover[i] for i in rng.permutation(len(cover))]
+            self.check_prefixes(num_qubits, ops)
 
     def test_two_qubit_kernels(self):
+        # CNOT on every ordered control/target pair, in shuffled order,
+        # interleaved with H so the entangled state keeps changing.
         rng = np.random.default_rng(22)
         for num_qubits in range(2, 6):
-            for _ in range(4):
-                gate = unitary_group.rvs(4, random_state=rng)
-                control, target = rng.choice(num_qubits, size=2, replace=False)
-                state = random_state(rng, num_qubits)
-                via_kernel = apply_two(state, gate, int(control), int(target)).amplitudes
-                via_dense = (
-                    dense_two(gate, int(control), int(target), num_qubits)
-                    @ state.amplitudes
-                )
-                np.testing.assert_allclose(via_kernel, via_dense, atol=1e-12, rtol=0)
+            cover = [
+                GateOp("CNOT", (c, t))
+                for c in range(num_qubits)
+                for t in range(num_qubits)
+                if c != t
+            ]
+            ops = self.spread(rng, num_qubits)
+            for i in rng.permutation(len(cover)):
+                ops += [cover[i], GateOp("H", (int(rng.integers(num_qubits)),))]
+            self.check_prefixes(num_qubits, ops)
 
 
 class TestProbabilities:
     def test_equal_superposition(self):
-        state = apply_single(init_statevector(1), H, 0)
-        probs = probabilities(state)
+        probs = probabilities(execute(Circuit(1, [GateOp("H", (0,))])))
         assert probs["0"] == pytest.approx(0.5)
         assert probs["1"] == pytest.approx(0.5)
 
     def test_basis_state_omits_zero_entries(self):
-        assert probabilities(init_statevector(1)) == {"0": 1.0}
+        assert probabilities(execute(Circuit(1, []))) == {"0": 1.0}
 
     def test_complex_pair(self):
         state = Statevector(1, np.array([(1 + 1j) / 2, (1 - 1j) / 2]))
@@ -246,6 +255,7 @@ class TestExecute:
         np.testing.assert_allclose(state.amplitudes, [0, 0, 1, 0], atol=1e-15)
 
     def test_matches_public_kernels(self):
+        # execute against the product of the public GateOp matrices.
         rng = np.random.default_rng(31)
         ops = []
         for _ in range(10):
@@ -259,16 +269,10 @@ class TestExecute:
             else:
                 c, t = rng.choice(3, size=2, replace=False)
                 ops.append(GateOp("CNOT", (int(c), int(t))))
-        via_execute = execute(Circuit(3, ops))
-        state = init_statevector(3)
+        expected = zero_state(3)
         for op in ops:
-            if op.name == "CNOT":
-                state = apply_two(state, op.matrix(), *op.qubits)
-            else:
-                state = apply_single(state, op.matrix(), op.qubits[0])
-        np.testing.assert_allclose(
-            via_execute.amplitudes, state.amplitudes, atol=1e-12, rtol=0
-        )
+            expected = dense_op(op, 3) @ expected
+        np.testing.assert_allclose(run(3, *ops), expected, atol=1e-12, rtol=0)
 
     def test_noiseless_deterministic(self):
         ops = [GateOp("H", (0,)), GateOp("CNOT", (0, 1)), GateOp("U1", (1,), 0.4)]
@@ -286,6 +290,35 @@ class TestExecute:
         a = execute(circuit, noise=noise, rng_seed=99)
         b = execute(circuit, noise=noise, rng_seed=99)
         assert np.array_equal(a.amplitudes, b.amplitudes)
+
+    def test_noisy_matches_replay(self):
+        # Documented draw order: after each primitive, one uniform per touched
+        # qubit (control first), an X on that qubit when it is below p.
+        ops = [
+            GateOp("H", (0,)),
+            GateOp("H", (2,)),
+            GateOp("CNOT", (0, 1)),
+            GateOp("U1", (1,), 0.7),
+            GateOp("CNOT", (2, 0)),
+            GateOp("H", (1,)),
+            GateOp("CNOT", (1, 2)),
+            GateOp("U1", (0,), -1.1),
+            GateOp("CNOT", (2, 1)),
+        ]
+        noiseless = run(3, *ops)
+        flipped_seeds = 0
+        for seed in (0, 1, 2, 3, 4):
+            draws = np.random.default_rng(seed)
+            expected = zero_state(3)
+            for op in ops:
+                expected = dense_op(op, 3) @ expected
+                for q in op.qubits:
+                    if draws.random() < 0.3:
+                        expected = dense_single(X, q, 3) @ expected
+            amps = run(3, *ops, noise=NoiseModel(0.3, 0.0), rng_seed=seed)
+            np.testing.assert_allclose(amps, expected, atol=1e-12, rtol=0)
+            flipped_seeds += not np.allclose(amps, noiseless, atol=1e-12)
+        assert flipped_seeds >= 3
 
     def test_zero_noise_model_is_noiseless(self):
         circuit = Circuit(2, [GateOp("H", (0,)), GateOp("CNOT", (0, 1))])
@@ -380,33 +413,33 @@ class TestCounts:
 
 class TestSampleCounts:
     def test_deterministic_state(self):
-        counts = sample_counts(init_statevector(1), 8192, 123)
+        counts = sample_counts(ZERO, 8192, 123)
         assert counts.counts == {"0": 8192}
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValidationError):
-            sample_counts(init_statevector(1), 0, 1)
+            sample_counts(ZERO, 0, 1)
 
     def test_seed_required(self):
         with pytest.raises(ValidationError):
-            sample_counts(init_statevector(1), 10, None)
+            sample_counts(ZERO, 10, None)
 
     def test_forced_readout_flip(self):
         counts = sample_counts(
-            init_statevector(1), 8192, 5, NoiseModel(0.0, 1.0)
+            ZERO, 8192, 5, NoiseModel(0.0, 1.0)
         )
         assert counts.counts == {"1": 8192}
 
     def test_binomial_bounds(self):
         # 6 sigma around 4096 at 8192 shots: [3800, 4390]
-        state = apply_single(init_statevector(1), H, 0)
+        state = execute(Circuit(1, [GateOp("H", (0,))]))
         counts = sample_counts(state, 8192, 12345)
         assert sum(counts.counts.values()) == 8192
         for bucket in counts.counts.values():
             assert 3800 <= bucket <= 4390
 
     def test_reproducible_per_seed(self):
-        state = apply_single(init_statevector(2), H, 0)
+        state = execute(Circuit(2, [GateOp("H", (0,))]))
         a = sample_counts(state, 4096, 42, NoiseModel(0.0, 0.02))
         b = sample_counts(state, 4096, 42, NoiseModel(0.0, 0.02))
         assert a.counts == b.counts
@@ -414,8 +447,7 @@ class TestSampleCounts:
 
     def test_sampling_consistency(self):
         # empirical vs exact fidelity at 8192 shots, five fixed seeds
-        state = apply_single(init_statevector(2), H, 0)
-        state = apply_two(state, CNOT, 0, 1)
+        state = execute(Circuit(2, [GateOp("H", (0,)), GateOp("CNOT", (0, 1))]))
         exact = probabilities(state)
         for seed in (1, 2, 3, 4, 5):
             counts = sample_counts(state, 8192, seed)

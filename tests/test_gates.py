@@ -18,7 +18,6 @@ from qmarkov import (
     is_unitary,
     nth_root_x,
     nth_root_x_sequence,
-    phase_aligned_distance,
     remap_qubits,
     solve_rotation_order,
     standard_gate,
@@ -300,9 +299,3 @@ class TestGateOp:
         assert seq[0].qubits == (5,)
         assert seq[2].qubits == (4, 5)
 
-
-def test_phase_aligned_distance():
-    mat = nth_root_x(RotationOrder(0.9))
-    rotated = np.exp(0.37j) * mat
-    assert phase_aligned_distance(mat, rotated) <= 1e-12
-    assert np.max(np.abs(mat - rotated)) > 1e-3

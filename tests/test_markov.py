@@ -242,7 +242,6 @@ class TestCompile:
     def test_absorbing_shape(self):
         circuit = compile_to_circuit(worked_chain())
         assert circuit.num_qubits == 3
-        assert circuit.measure_all
         assert len(circuit.ops) == 3 + 2 * 7
         assert all(op.name != "X" for op in circuit.ops)  # no anti blocks
 
