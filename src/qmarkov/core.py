@@ -320,6 +320,13 @@ def _inplace_cnot(amps, control, target, scratch):
     dst[:] = quarter
 
 
+def _grow(amps, width, new_width, scratch):
+    """Widen the prefix state ``amps[: 1 << width]`` to ``new_width`` qubits in |0>."""
+    np.copyto(scratch[: 1 << width], amps[: 1 << width])
+    amps[: 1 << new_width] = 0
+    amps[: 1 << new_width].reshape(1 << width, -1)[:, 0] = scratch[: 1 << width]
+
+
 def _check_seed(rng_seed: int | None) -> None:
     if rng_seed is not None and rng_seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {rng_seed}")
@@ -350,19 +357,27 @@ def execute(
     amps[0] = 1.0
     # In-place primitive kernels on the owned buffer; one shared scratch half.
     scratch = np.empty(max(1, amps.size // 2), dtype=np.complex128)
+    # Untouched qubits are |0>: kernels run on the prefix of qubits 0..width-1.
+    width = 0
     for op in circuit.ops:
+        if (top := max(op.qubits) + 1) > width:
+            _grow(amps, width, top, scratch)
+            width = top
+        state = amps[: 1 << width]
         if op.name == "H":
-            _inplace_h(amps, op.qubits[0], scratch)
+            _inplace_h(state, op.qubits[0], scratch)
         elif op.name == "U1":
-            _inplace_u1(amps, op.angle, op.qubits[0])
+            _inplace_u1(state, op.angle, op.qubits[0])
         elif op.name == "X":
-            _inplace_x(amps, op.qubits[0], scratch)
+            _inplace_x(state, op.qubits[0], scratch)
         else:
-            _inplace_cnot(amps, op.qubits[0], op.qubits[1], scratch)
+            _inplace_cnot(state, op.qubits[0], op.qubits[1], scratch)
         if rng is not None:
             for q in op.qubits:
                 if rng.random() < flip_prob:
-                    _inplace_x(amps, q, scratch)
+                    _inplace_x(state, q, scratch)
+    if width < n:
+        _grow(amps, width, n, scratch)
     return Statevector(n, amps)
 
 

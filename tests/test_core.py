@@ -2,11 +2,15 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import random_chain
+from qmarkov import core
 from qmarkov import (
+    BinaryMarkovChain,
     CapacityError,
     Circuit,
     Counts,
@@ -15,6 +19,7 @@ from qmarkov import (
     RotationOrder,
     Statevector,
     ValidationError,
+    compile_to_circuit,
     controlled_nth_root_x_sequence,
     execute,
     hellinger_fidelity,
@@ -50,10 +55,6 @@ class TestInit:
         assert amps[0] == 1.0
         assert not amps[1:].any()
 
-    def test_zero_qubits_rejected(self):
-        with pytest.raises(ValidationError):
-            run(0)
-
     def test_capacity_default(self):
         with pytest.raises(CapacityError):
             run(25)
@@ -86,11 +87,6 @@ class TestStatevectorInvariants:
 
 
 class TestApplySingle:
-    def test_hadamard_on_zero(self):
-        np.testing.assert_allclose(
-            run(1, GateOp("H", (0,))), [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15
-        )
-
     def test_x_on_zero(self):
         np.testing.assert_array_equal(run(1, GateOp("X", (0,))), [0, 1])
 
@@ -361,6 +357,137 @@ class TestExecute:
                     ops.append(GateOp("CNOT", (int(c), int(t))))
             state = execute(Circuit(num_qubits, ops))
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-10
+
+
+def full_width_execute(circuit, noise=None, rng_seed=None):
+    """Reference for ``execute``: every op, and every noise flip, on the full
+    2**n buffer with the same kernels and the same draw order."""
+    amps = zero_state(circuit.num_qubits)
+    scratch = np.empty(max(1, amps.size // 2), dtype=complex)
+    flip_prob = noise.gate_flip_prob if noise is not None else 0.0
+    rng = np.random.default_rng(rng_seed) if flip_prob > 0.0 else None
+    for op in circuit.ops:
+        if op.name == "H":
+            core._inplace_h(amps, op.qubits[0], scratch)
+        elif op.name == "U1":
+            core._inplace_u1(amps, op.angle, op.qubits[0])
+        elif op.name == "X":
+            core._inplace_x(amps, op.qubits[0], scratch)
+        else:
+            core._inplace_cnot(amps, op.qubits[0], op.qubits[1], scratch)
+        if rng is not None:
+            for q in op.qubits:
+                if rng.random() < flip_prob:
+                    core._inplace_x(amps, q, scratch)
+    return amps
+
+
+def touching_in_order(rng, num_qubits, order):
+    """Random primitives that first touch the qubits of ``order`` in that
+    order, each first touch followed by a few ops on the qubits touched so far."""
+    ops = []
+    for k in range(len(order)):
+        touched = [int(x) for x in order[: k + 1]]
+        q = touched[-1]
+        for _ in range(int(rng.integers(1, 5))):
+            others = [x for x in touched if x != q]
+            kind = int(rng.integers(4 if others else 3))
+            if kind == 0:
+                ops.append(GateOp("H", (q,)))
+            elif kind == 1:
+                ops.append(GateOp("X", (q,)))
+            elif kind == 2:
+                ops.append(GateOp("U1", (q,), float(rng.uniform(-math.pi, math.pi))))
+            else:
+                other = others[int(rng.integers(len(others)))]
+                ops.append(GateOp("CNOT", (other, q) if rng.random() < 0.5 else (q, other)))
+            q = touched[int(rng.integers(len(touched)))]
+    return Circuit(num_qubits, ops)
+
+
+class TestGrowingPrefix:
+    """``execute`` runs the kernels only on the qubits touched so far; the
+    result must equal the full-width run bit for bit."""
+
+    NOISES = (None, NoiseModel(0.2, 0.0))
+
+    def assert_same_as_full_width(self, circuit):
+        for noise in self.NOISES:
+            for seed in (0, 1, 2):
+                state = execute(circuit, noise=noise, rng_seed=seed)
+                ref = Statevector(
+                    circuit.num_qubits, full_width_execute(circuit, noise, seed)
+                )
+                assert np.array_equal(
+                    np.abs(state.amplitudes) ** 2, np.abs(ref.amplitudes) ** 2
+                )
+                assert (
+                    sample_counts(state, 1024, seed).counts
+                    == sample_counts(ref, 1024, seed).counts
+                )
+
+    def test_compiled_chains(self):
+        rng = np.random.default_rng(41)
+        for steps in range(1, 13):
+            self.assert_same_as_full_width(compile_to_circuit(random_chain(rng, steps)))
+
+    def test_touch_orders(self):
+        rng = np.random.default_rng(42)
+        for num_qubits in range(1, 7):
+            top_first = [num_qubits - 1, *rng.permutation(num_qubits - 1)]
+            some = rng.permutation(num_qubits)[: int(rng.integers(1, num_qubits + 1))]
+            for order in (
+                top_first,
+                list(range(num_qubits - 1, -1, -1)),
+                rng.permutation(num_qubits),
+                some,
+            ):
+                self.assert_same_as_full_width(touching_in_order(rng, num_qubits, order))
+
+    def test_empty_circuit(self):
+        for num_qubits in (1, 2, 5):
+            self.assert_same_as_full_width(Circuit(num_qubits, []))
+
+    def test_work_follows_touched_qubits(self, monkeypatch):
+        sizes = []
+        for name in ("_inplace_h", "_inplace_x", "_inplace_u1", "_inplace_cnot"):
+            def record(amps, *args, kernel=getattr(core, name)):
+                sizes.append(amps.size)
+                kernel(amps, *args)
+
+            monkeypatch.setattr(core, name, record)
+        chain = BinaryMarkovChain((0.3, 0.7), ((0.6, 0.4), (0.2, 0.8)), 12)
+        execute(compile_to_circuit(chain))
+        # The initial rotation acts on q0 alone; pair block t is 16 ops on
+        # q_t and q_t+1, the first of which is on q_t+1.
+        assert sizes[:3] == [2] * 3
+        blocks = [sizes[3 + 16 * t : 3 + 16 * (t + 1)] for t in range(11)]
+        assert blocks == [[1 << (t + 2)] * 16 for t in range(11)]
+        # Full width every op would be 16 * 11 * 2**12 + 3 * 2**12.
+        assert sum(sizes) == sum(16 << (t + 2) for t in range(11)) + 3 * 2
+
+    @staticmethod
+    def traced_peak(run_it):
+        tracemalloc.start()
+        try:
+            run_it()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_is_state_plus_scratch(self):
+        # H and U1 on each qubit in turn: one growth step per op pair, and
+        # kernels on the newest qubit, which copy nothing of size.
+        ops = [op for q in range(16) for op in (GateOp("H", (q,)), GateOp("U1", (q,), 0.3))]
+        ladder = Circuit(16, ops)
+        assert self.traced_peak(lambda: execute(ladder)) <= 1.5 * 16 * (1 << 16) + 64 * 1024
+        # On a compiled chain numpy also copies a kernel's source operand when
+        # it may overlap the destination (half a state for X on any qubit but
+        # q0), so the bound there is the full-width loop's own peak.
+        chain = BinaryMarkovChain((0.3, 0.7), ((0.6, 0.4), (0.2, 0.8)), 16)
+        circuit = compile_to_circuit(chain)
+        reference = self.traced_peak(lambda: full_width_execute(circuit))
+        assert self.traced_peak(lambda: execute(circuit)) <= reference + 64 * 1024
 
 
 class TestCircuitValidation:
