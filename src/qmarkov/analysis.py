@@ -7,18 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Counts, Distribution, bitstring_bytes
+from .core import Counts, Distribution, bitstring_bytes, counts_to_distribution
 from .errors import ValidationError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def counts_to_distribution(counts: Counts) -> Distribution:
-    """Normalize a histogram by its shot count."""
-    if counts.shots < 1:
-        raise ValidationError("cannot normalize zero-shot counts")
-    tally = Distribution.from_mapping(counts.counts, "counts")
-    return Distribution(tally.width, tally.support, tally.probs / counts.shots)
 
 
 def validate_distribution(dist, what: str = "distribution") -> Distribution:
@@ -28,9 +20,11 @@ def validate_distribution(dist, what: str = "distribution") -> Distribution:
     return Distribution.from_mapping(dist, what, normalized=True)
 
 
-def _on_union(p: Distribution, q: Distribution):
+def _on_union(p, q, p_what: str, q_what: str):
     """Width, the sorted union of both supports, and each side's
     probabilities over it (absent entries read as zero)."""
+    p = Distribution.from_mapping(p, p_what)
+    q = Distribution.from_mapping(q, q_what)
     if len(p) and len(q) and p.width != q.width:
         raise ValidationError(f"bitstring lengths differ: {p.width} vs {q.width}")
     width = p.width if len(p) else q.width
@@ -61,9 +55,7 @@ def hellinger_distance(p, q) -> float:
     Computed over the union of supports; absent keys count as probability
     zero.  Symmetric, and 0 exactly for identical inputs.
     """
-    p = Distribution.from_mapping(p, "first distribution")
-    q = Distribution.from_mapping(q, "second distribution")
-    _, _, p_probs, q_probs = _on_union(p, q)
+    _, _, p_probs, q_probs = _on_union(p, q, "first distribution", "second distribution")
     return _distance(p_probs, q_probs)
 
 
@@ -95,33 +87,30 @@ class FidelityReport:
         }
 
 
-def _as_distribution(side, what: str) -> tuple[Distribution, int]:
-    if isinstance(side, Counts):
-        return counts_to_distribution(side), side.shots
-    return Distribution.from_mapping(side, what), 0
-
-
 def compare_runs(reference, observed) -> FidelityReport:
     """Build a fidelity report between two runs.
 
-    Either side may be a ``Counts`` histogram (auto-normalized, shots
-    recorded) or an already-normalized distribution (shots recorded as 0).
+    Either side may be a ``Counts`` histogram (normalized by its shots, which
+    are recorded) or a distribution of probabilities (shots recorded as 0).
     Work and memory scale with the supports, not with 2**width.
     """
-    ref, ref_shots = _as_distribution(reference, "reference")
-    obs, obs_shots = _as_distribution(observed, "observed")
-    width, union, ref_probs, obs_probs = _on_union(ref, obs)
+    width, union, ref_probs, obs_probs = _on_union(reference, observed, "reference", "observed")
     distance = _distance(ref_probs, obs_probs)
     diffs = Distribution(width, union, np.abs(ref_probs - obs_probs))
-    return FidelityReport(distance, 1.0 - distance, diffs, ref_shots, obs_shots)
+    shots = [side.shots if isinstance(side, Counts) else 0 for side in (reference, observed)]
+    return FidelityReport(distance, 1.0 - distance, diffs, *shots)
 
 
 def to_json_text(value) -> str:
     """JSON text with floats rendered at 17 significant digits (lossless).
 
-    A ``Distribution`` renders as an object over its support in index order.
-    NaN and infinity have no JSON form and raise ``ValidationError``.
+    A ``Distribution`` renders as an object over its support in index order,
+    and ``Counts`` as ``{"shots": int, "counts": {bitstring: int}}``.  NaN and
+    infinity have no JSON form and raise ``ValidationError``.
     """
+    if isinstance(value, Counts):
+        tallies = Distribution(value.width, value.support, value.probs)
+        return '{"shots": %d, "counts": %s}' % (value.shots, to_json_text(tallies))
     if isinstance(value, Distribution):
         probs = value.probs
         if not np.isfinite(probs).all():
@@ -129,7 +118,8 @@ def to_json_text(value) -> str:
         items = [None] * (2 * len(probs))
         items[::2] = bitstring_bytes(value.support, value.width).tolist()
         items[1::2] = probs.tolist()
-        body = b", ".join([b'"%s": %.17g'] * len(probs)) % tuple(items)
+        entry = b'"%s": %d' if probs.dtype.kind == "i" else b'"%s": %.17g'
+        body = b", ".join([entry] * len(probs)) % tuple(items)
         return "{" + body.decode("ascii") + "}"
     if isinstance(value, float):
         if not math.isfinite(value):

@@ -88,17 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
+def _emit(result, args) -> None:
+    """Write ``result`` as JSON in ``args.bit_order`` to ``args.out`` or stdout."""
+    if args.bit_order == "reversed":
+        result = result.bit_reversed()
+    text = to_json_text(result)
+    if args.out is None:
         print(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-
-
-def _in_bit_order(result, order: str):
-    """A ``Distribution`` or ``Counts`` keyed in the requested bit order."""
-    return result if order == "time" else result.bit_reversed()
 
 
 def cmd_compile(args) -> int:
@@ -125,19 +124,18 @@ def cmd_run(args) -> int:
         raise ValidationError("--seed is required when noise is enabled")
     if args.shots is not None and args.seed is None:
         raise ValidationError("--seed is required when sampling")
+    if args.shots is None and args.noise_readout is not None:
+        raise ValidationError("--noise-readout needs --shots: only sampled bits are read out")
     state = execute(circuit, noise=noise, rng_seed=args.seed)
     if args.shots is None:
-        payload = _in_bit_order(probabilities(state), args.bit_order)
+        _emit(probabilities(state), args)
     else:
-        counts = sample_counts(state, args.shots, args.seed, noise)
-        payload = _in_bit_order(counts, args.bit_order).to_json_dict()
-    _emit(to_json_text(payload), args.out)
+        _emit(sample_counts(state, args.shots, args.seed, noise), args)
     return 0
 
 
 def cmd_oracle(args) -> int:
-    paths = enumerate_paths(load_chain(args.spec))
-    _emit(to_json_text(_in_bit_order(paths, args.bit_order)), args.out)
+    _emit(enumerate_paths(load_chain(args.spec)), args)
     return 0
 
 

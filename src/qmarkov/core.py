@@ -12,6 +12,7 @@ byte-for-byte reproducible per seed.  Kernels touch disjoint amplitude pairs
 with no reductions, so results do not depend on BLAS thread counts.
 """
 
+import copy
 import math
 import numbers
 import os
@@ -69,32 +70,21 @@ def bitstring_bytes(index: np.ndarray, width: int) -> np.ndarray:
     return bits.view(f"S{width}").reshape(-1)
 
 
-def bitstrings(index: np.ndarray, width: int) -> list[str]:
-    """Time-ordered bitstrings (q0 leftmost) of basis indices."""
-    return bitstring_bytes(index, width).astype(str).tolist()
-
-
-def bit_reverse(index: np.ndarray, width: int) -> np.ndarray:
-    """Basis indices with their ``width`` bits in reverse order."""
-    out = np.zeros_like(index)
-    for bit in range(width):
-        out |= ((index >> bit) & 1) << (width - 1 - bit)
-    return out
-
-
 def parse_bitstring_map(mapping, what: str, integral: bool = False):
     """The one validator for ``{bitstring: number}`` input.
 
     Keys must be non-empty binary strings of one width, at most 63 bits (the
-    int64 basis index); values finite, non-negative numbers (ints when
-    ``integral``), never bools.  Returns ``(width, index, values, total)``:
-    each entry's basis index and float value in mapping order, and the plain
-    sequential ``sum`` of the values in that order.  An empty map has width 0.
+    int64 basis index); values finite, non-negative numbers (ints within the
+    int64 range when ``integral``), never bools.  Returns ``(width, index,
+    values, total)``: each entry's basis index and value (int64 when
+    ``integral``, else float64) in mapping order, and the plain sequential
+    ``sum`` of the values in that order.  An empty map has width 0.
     """
     keys = list(mapping)
     raw = list(mapping.values())
+    dtype = np.dtype(np.int64 if integral else np.float64)
     if not keys:
-        return 0, np.zeros(0, dtype=np.int64), np.zeros(0), 0
+        return 0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype), 0
     try:
         joined = "".join(keys)
     except TypeError:
@@ -123,9 +113,9 @@ def parse_bitstring_map(mapping, what: str, integral: bool = False):
         key = next(k for k, v in zip(keys, raw) if not isinstance(v, kind) or isinstance(v, bool))
         raise ValidationError(f"{what} has a non-numeric value for {key!r}")
     try:
-        values = np.array(raw, dtype=np.float64)
+        values = np.array(raw, dtype=dtype)
     except OverflowError:
-        raise ValidationError(f"{what} has an int beyond the float range") from None
+        raise ValidationError(f"{what} has an int beyond the {dtype} range") from None
     bad = ~(np.isfinite(values) & (values >= 0))
     if bad.any():
         key = keys[int(np.argmax(bad))]
@@ -162,8 +152,11 @@ class Distribution(Mapping):
     @classmethod
     def from_mapping(cls, mapping, what: str = "distribution", normalized: bool = False):
         """Validate a bitstring->probability map; with ``normalized`` it must
-        also be non-empty and sum to 1 within 1e-9.  A ``Distribution`` is
-        returned as it is unless ``normalized`` asks for the sum check."""
+        also be non-empty and sum to 1 within 1e-9.  ``Counts`` are divided by
+        their shots first; a ``Distribution`` is returned as it is unless
+        ``normalized`` asks for the sum check."""
+        if isinstance(mapping, Counts):
+            mapping = counts_to_distribution(mapping)
         if isinstance(mapping, Distribution) and not normalized:
             return mapping
         width, index, values, total = parse_bitstring_map(mapping, what)
@@ -179,26 +172,30 @@ class Distribution(Mapping):
 
     def bit_reversed(self) -> "Distribution":
         """The same distribution keyed with q0 as the rightmost character."""
-        index = bit_reverse(self.support, self.width)
+        index = np.zeros_like(self.support)
+        for bit in range(self.width):
+            index |= ((self.support >> bit) & 1) << (self.width - 1 - bit)
         order = np.argsort(index)
-        return Distribution(self.width, index[order], self.probs[order])
+        out = copy.copy(self)
+        out.support, out.probs = index[order], self.probs[order]
+        return out
 
     def __len__(self) -> int:
         return len(self.support)
 
     def __iter__(self):
-        return iter(bitstrings(self.support, self.width))
+        return iter(bitstring_bytes(self.support, self.width).astype(str).tolist())
 
     def __getitem__(self, key: str) -> float:
         if isinstance(key, str) and len(key) == self.width and not set(key) - {"0", "1"}:
             index = int(key, 2)
             pos = int(np.searchsorted(self.support, index))
             if pos < len(self.support) and self.support[pos] == index:
-                return float(self.probs[pos])
+                return self.probs[pos].item()
         raise KeyError(key)
 
     def __repr__(self) -> str:
-        return f"Distribution({dict(self)!r})"
+        return f"{type(self).__name__}({dict(self)!r})"
 
 
 @dataclass
@@ -381,27 +378,24 @@ def execute(
     return Statevector(n, amps)
 
 
-@dataclass
-class Counts:
-    """Measurement histogram: bitstring -> occurrences, totalling ``shots``."""
+class Counts(Distribution):
+    """Measurement histogram in the ``Distribution`` layout: ``probs`` holds
+    the int64 tally of each support entry, and the tallies total ``shots``.
 
-    counts: dict[str, int]
-    shots: int
+    Sampling builds one from its arrays; ``from_json_dict`` is the one parse
+    point for a counts input.  Wherever probabilities are expected, a
+    ``Counts`` is first divided by its shots (``counts_to_distribution``).
+    """
 
-    def __post_init__(self):
-        total = parse_bitstring_map(self.counts, "counts", integral=True)[3]
-        if total != self.shots:
-            raise ValidationError(f"counts sum to {total}, expected shots={self.shots}")
+    __slots__ = ("shots",)
 
-    def bit_reversed(self) -> "Counts":
-        """The same histogram keyed with q0 as the rightmost character."""
-        width, index, _, _ = parse_bitstring_map(self.counts, "counts", integral=True)
-        keys = bitstrings(bit_reverse(index, width), width)
-        return Counts(dict(zip(keys, self.counts.values())), self.shots)
+    def __init__(self, width: int, support: np.ndarray, tallies: np.ndarray, shots: int):
+        super().__init__(width, support, tallies)
+        self.shots = shots
 
     def to_json_dict(self) -> dict:
         """Serialized form: {"shots": int, "counts": {bitstring: int}}."""
-        return {"shots": self.shots, "counts": dict(sorted(self.counts.items()))}
+        return {"shots": self.shots, "counts": dict(zip(self, self.probs.tolist()))}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Counts":
@@ -409,11 +403,20 @@ class Counts:
             raise ValidationError("counts JSON needs exactly the keys 'shots' and 'counts'")
         shots = data["shots"]
         raw = data["counts"]
-        if not isinstance(shots, int) or isinstance(shots, bool):
-            raise ValidationError("'shots' must be an integer")
+        if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
+            raise ValidationError("'shots' must be a positive integer")
         if not isinstance(raw, dict):
             raise ValidationError("'counts' must be an object")
-        return cls({str(k): v for k, v in raw.items()}, shots)
+        width, index, tallies, total = parse_bitstring_map(raw, "counts", integral=True)
+        if total != shots:
+            raise ValidationError(f"counts sum to {total}, expected shots={shots}")
+        order = np.argsort(index, kind="stable")
+        return cls(width, index[order], tallies[order], shots)
+
+
+def counts_to_distribution(counts: Counts) -> Distribution:
+    """Normalize a histogram by its shot count."""
+    return Distribution(counts.width, counts.support, counts.probs / counts.shots)
 
 
 def sample_counts(
@@ -444,4 +447,4 @@ def sample_counts(
         weights = 1 << np.arange(n - 1, -1, -1)  # q0 is the MSB
         outcomes = outcomes ^ (flips @ weights)
     index, tallies = np.unique(outcomes, return_counts=True)
-    return Counts(dict(zip(bitstrings(index, n), tallies.tolist())), shots)
+    return Counts(n, index, tallies, shots)

@@ -69,6 +69,14 @@ class BinaryMarkovChain:
         return np.array(self.transition, dtype=float)
 
 
+def _json_number(value, name: str, integer: bool = False):
+    """A spec value that must be a JSON number: a float, or an int when ``integer``."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ValidationError(f"spec {name} must be {kind}, got {json.dumps(value)}")
+    return value if integer else float(value)
+
+
 def chain_from_dict(data: dict) -> BinaryMarkovChain:
     """Build a chain from the JSON spec layout.
 
@@ -78,27 +86,24 @@ def chain_from_dict(data: dict) -> BinaryMarkovChain:
          "initial": {"p0": x},
          "transition": {"p00": .., "p01": .., "p10": .., "p11": ..}}
 
-    Transition rows that sum to 1 within 1e-9 are normalized so the
-    in-memory chain is exactly stochastic; ``BinaryMarkovChain`` validates
-    the result and reports a bad row by its number.
+    ``steps`` must be a JSON integer and the probabilities JSON numbers (never
+    bools or strings).  Transition rows that sum to 1 within 1e-9 are
+    normalized so the in-memory chain is exactly stochastic;
+    ``BinaryMarkovChain`` validates the result and reports a bad row by its
+    number.
     """
     try:
-        steps = int(data["steps"])
-        p0 = float(data["initial"]["p0"])
+        steps = _json_number(data["steps"], "steps", integer=True)
+        p0 = _json_number(data["initial"]["p0"], "p0")
         t = data["transition"]
-        rows = [[float(t["p00"]), float(t["p01"])], [float(t["p10"]), float(t["p11"])]]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = [[_json_number(t[f"p{i}{j}"], f"p{i}{j}") for j in "01"] for i in "01"]
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValidationError(f"malformed chain spec: {exc}") from exc
     for row in rows:
         total = row[0] + row[1]
         if abs(total - 1.0) <= FILE_ROW_SUM_ATOL:
-            row[0] /= total
-            row[1] /= total
-    return BinaryMarkovChain(
-        (p0, 1.0 - p0),
-        ((rows[0][0], rows[0][1]), (rows[1][0], rows[1][1])),
-        steps,
-    )
+            row[:] = [x / total for x in row]
+    return BinaryMarkovChain((p0, 1.0 - p0), rows, steps)
 
 
 def load_chain(path) -> BinaryMarkovChain:

@@ -32,6 +32,10 @@ from qmarkov import (
 HAND_PAIR_DISTANCE = math.sqrt((2.0 - math.sqrt(2.0)) / 2.0)
 
 
+def histogram(tallies: dict, shots: int) -> Counts:
+    return Counts.from_json_dict({"shots": shots, "counts": tallies})
+
+
 def random_distribution(rng, keys):
     raw = rng.random(len(keys)) + 1e-9
     raw /= raw.sum()
@@ -40,19 +44,28 @@ def random_distribution(rng, keys):
 
 class TestCountsToDistribution:
     def test_single_outcome(self):
-        assert counts_to_distribution(Counts({"0": 8192}, 8192)) == {"0": 1.0}
+        assert counts_to_distribution(histogram({"0": 8192}, 8192)) == {"0": 1.0}
 
     def test_two_outcomes(self):
-        dist = counts_to_distribution(Counts({"00": 4096, "11": 4096}, 8192))
+        dist = counts_to_distribution(histogram({"00": 4096, "11": 4096}, 8192))
         assert dist == {"00": 0.5, "11": 0.5}
 
     def test_exact_division(self):
-        dist = counts_to_distribution(Counts({"0": 3, "1": 1}, 4))
+        dist = counts_to_distribution(histogram({"0": 3, "1": 1}, 4))
         assert dist == {"0": 0.75, "1": 0.25}
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValidationError):
-            counts_to_distribution(Counts({}, 0))
+            counts_to_distribution(histogram({}, 0))
+
+    def test_counts_normalized_where_probabilities_expected(self):
+        counts = histogram({"00": 5, "01": 2, "11": 1}, 8)
+        exact = {"00": 0.5, "01": 0.25, "11": 0.25}
+        normalized = counts_to_distribution(counts)
+        assert hellinger_fidelity(counts, exact) == hellinger_fidelity(normalized, exact)
+        assert hellinger_fidelity(exact, counts) == hellinger_fidelity(exact, normalized)
+        assert hellinger_distance(counts, counts) == 0.0
+        assert Distribution.from_mapping(counts) == {"00": 0.625, "01": 0.25, "11": 0.125}
 
 
 class TestHellinger:
@@ -149,7 +162,7 @@ class TestCompareRuns:
         assert report.observed_shots == 0
 
     def test_counts_auto_normalized(self):
-        counts = Counts({"0": 6, "1": 2}, 8)
+        counts = histogram({"0": 6, "1": 2}, 8)
         report = compare_runs({"0": 0.75, "1": 0.25}, counts)
         assert report.hellinger_fidelity == pytest.approx(1.0, abs=1e-15)
         assert report.observed_shots == 8
@@ -179,7 +192,7 @@ class TestCompareRuns:
         # 40-bit keys: a 2**40 vector could not be allocated, so this only
         # passes if the comparison works on the supports.
         wide = "1" * 40
-        report = compare_runs(Counts({wide: 3}, 3), Counts({"0" * 40: 1, wide: 1}, 2))
+        report = compare_runs(histogram({wide: 3}, 3), histogram({"0" * 40: 1, wide: 1}, 2))
         assert report.diffs == {"0" * 40: 0.5, wide: 0.5}
         assert report.hellinger_distance == pytest.approx(
             math.sqrt(1.0 - math.sqrt(0.5)), abs=1e-15
@@ -191,12 +204,12 @@ class TestCompareRuns:
         circuit = compile_to_circuit(chain, max_qubits=chain.steps)
         state = execute(circuit, max_qubits=chain.steps)
         counts = sample_counts(state, 256, 5)
-        assert len(next(iter(counts.counts))) == chain.steps > 2
+        assert len(next(iter(counts))) == chain.steps > 2
         report = compare_runs(probabilities(state), counts)
         assert 0.0 <= report.hellinger_distance < 1.0
 
     def test_report_json_dict_is_plain(self):
-        report = compare_runs({"00": 0.5, "11": 0.5}, Counts({"00": 3, "01": 1}, 4))
+        report = compare_runs({"00": 0.5, "11": 0.5}, histogram({"00": 3, "01": 1}, 4))
         data = json.loads(json.dumps(report.to_json_dict()))
         assert data["diffs"] == {"00": 0.25, "01": 0.25, "11": 0.5}
 

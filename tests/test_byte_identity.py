@@ -44,15 +44,17 @@ def exact_dict(chain) -> dict:
     return {format(i, f"0{width}b"): float(p) for i, p in enumerate(probs) if p != 0.0}
 
 
-def counts_payload(chain, seed: int) -> dict:
-    # Draw order of sample_counts: outcomes first, then one uniform per bit.
+def counts_payload(chain, seed: int, readout: float = READOUT) -> dict:
+    # Draw order of sample_counts: outcomes first, then (only with readout
+    # noise) one uniform per bit.
     n = chain.steps
     probs = np.abs(execute(compile_to_circuit(chain)).amplitudes) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     outcomes = rng.choice(probs.size, size=SHOTS, p=probs)
-    flips = rng.random((SHOTS, n)) < READOUT
-    outcomes = outcomes ^ (flips @ (1 << np.arange(n - 1, -1, -1)))
+    if readout:
+        flips = rng.random((SHOTS, n)) < readout
+        outcomes = outcomes ^ (flips @ (1 << np.arange(n - 1, -1, -1)))
     tallies = Counter(int(i) for i in outcomes)
     counts = {format(i, f"0{n}b"): c for i, c in sorted(tallies.items())}
     return {"shots": SHOTS, "counts": counts}
@@ -138,6 +140,17 @@ def test_sampled_run_with_readout_noise(capsys, corpus, order):
         assert text == reference_text(expected)
 
 
+def test_sampled_run_reversed_without_noise(capsys, corpus):
+    for seed, (spec, chain) in enumerate(corpus):
+        expected = counts_payload(chain, seed, readout=0.0)
+        expected["counts"] = reversed_keys(expected["counts"])
+        text = cli_text(
+            capsys, "run", "--spec", spec, "--shots", str(SHOTS), "--seed", str(seed),
+            "--bit-order", "reversed",
+        )
+        assert text == reference_text(expected)
+
+
 def test_fidelity_distribution_vs_distribution(capsys, corpus, tmp_path):
     for spec, chain in corpus:
         run_file = tmp_path / "q.json"
@@ -165,6 +178,22 @@ def test_fidelity_counts_vs_distribution(capsys, corpus, tmp_path):
         observed = {key: value / SHOTS for key, value in counts.items()}
         expected = fidelity_payload(brute_paths(chain), observed)
         assert text == reference_text(expected)
+
+
+def test_fidelity_counts_vs_counts(capsys, corpus, tmp_path):
+    for seed, (spec, chain) in enumerate(corpus):
+        files = [tmp_path / "a.json", tmp_path / "b.json"]
+        cli_text(capsys, "run", "--spec", spec, "--shots", str(SHOTS), "--seed",
+                 str(seed), "--out", str(files[0]))
+        cli_text(capsys, "run", "--spec", spec, "--shots", str(SHOTS), "--seed",
+                 str(seed + 100), "--noise-readout", repr(READOUT), "--out", str(files[1]))
+        text = cli_text(capsys, "fidelity", str(files[0]), str(files[1]))
+        sides = [
+            counts_payload(chain, seed, readout=0.0)["counts"],
+            counts_payload(chain, seed + 100)["counts"],
+        ]
+        ref, obs = ({key: value / SHOTS for key, value in c.items()} for c in sides)
+        assert text == reference_text(fidelity_payload(ref, obs))
 
 
 def test_fidelity_keeps_explicit_zero_entries(capsys, tmp_path):

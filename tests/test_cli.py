@@ -8,6 +8,7 @@ import sys
 import pytest
 from conftest import assert_dist_close
 
+from qmarkov import core
 from qmarkov.cli import main
 
 
@@ -134,6 +135,42 @@ class TestRun:
         assert code == 2
         assert out == ""
         assert "transition row 0" in err
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("steps", "1e999"),
+            ("steps", "2.7"),
+            ("steps", "true"),
+            ("steps", '"3"'),
+            ("p0", "true"),
+            ("p0", '"0.5"'),
+            ("p01", "false"),
+            ("p11", '"0.5"'),
+            ("p10", "1" + "0" * 400),
+        ],
+    )
+    def test_spec_values_must_be_json_numbers(self, capsys, tmp_path, command, field, value):
+        spec = {"steps": "3", "p0": "0.5", "p00": "1.0", "p01": "0.0", "p10": "0.5", "p11": "0.5"}
+        spec[field] = value
+        path = tmp_path / "spec.json"
+        path.write_text(
+            '{"steps": %(steps)s, "initial": {"p0": %(p0)s}, "transition": '
+            '{"p00": %(p00)s, "p01": %(p01)s, "p10": %(p10)s, "p11": %(p11)s}}' % spec
+        )
+        code, out, err = run_cli(capsys, command, "--spec", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "spec" in err
+        assert "Traceback" not in err
+
+    def test_readout_noise_needs_shots(self, capsys, chain_spec_file):
+        code, out, err = run_cli(capsys, "run", "--spec", chain_spec_file(),
+                                 "--noise-readout", "0.3", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "--noise-readout" in err and "--shots" in err
 
     def test_env_capacity_beyond_numpy_refused(self, capsys, chain_spec_file, monkeypatch):
         # 2**64 amplitudes cannot be sized; refused before execute allocates.
@@ -285,6 +322,50 @@ class TestFidelity:
         code, out, _ = run_cli(capsys, "fidelity", str(a), str(b))
         assert code == 0
         assert json.loads(out)["diffs"] == {"00000": 0.5, "11111": 0.5}
+
+    @pytest.mark.parametrize("count", [2**63, 2**70])
+    def test_count_beyond_int64_refused(self, capsys, tmp_path, count):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({"shots": count + 1, "counts": {"0": count, "1": 1}}))
+        code, out, err = run_cli(capsys, "fidelity", str(path), str(path))
+        assert code == 2
+        assert out == ""
+        assert "int64" in err
+
+
+class TestParseCount:
+    """Each counts input is parsed once; counts the program computes never are."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        calls = []
+        original = core.parse_bitstring_map
+
+        def counting(mapping, what, *args, **kwargs):
+            calls.append(what)
+            return original(mapping, what, *args, **kwargs)
+
+        monkeypatch.setattr(core, "parse_bitstring_map", counting)
+        return calls
+
+    @pytest.mark.parametrize("order", ["time", "reversed"])
+    def test_sampled_run(self, capsys, chain_spec_file, parses, order):
+        code, _, _ = run_cli(capsys, "run", "--spec", chain_spec_file(), "--shots",
+                             "--seed", "7", "--bit-order", order)
+        assert code == 0
+        assert parses == []
+
+    @pytest.mark.parametrize("observed", ["oracle.json", "counts.json"])
+    def test_fidelity(self, capsys, chain_spec_file, tmp_path, parses, observed):
+        spec = chain_spec_file()
+        run_cli(capsys, "run", "--spec", spec, "--shots", "--seed", "7",
+                "--out", str(tmp_path / "counts.json"))
+        run_cli(capsys, "oracle", "--spec", spec, "--out", str(tmp_path / "oracle.json"))
+        parses.clear()
+        code, _, _ = run_cli(capsys, "fidelity", str(tmp_path / "counts.json"),
+                             str(tmp_path / observed))
+        assert code == 0
+        assert len(parses) == 2
 
 
 class TestGateCheck:

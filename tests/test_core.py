@@ -422,8 +422,8 @@ class TestGrowingPrefix:
                     np.abs(state.amplitudes) ** 2, np.abs(ref.amplitudes) ** 2
                 )
                 assert (
-                    sample_counts(state, 1024, seed).counts
-                    == sample_counts(ref, 1024, seed).counts
+                    dict(sample_counts(state, 1024, seed))
+                    == dict(sample_counts(ref, 1024, seed))
                 )
 
     def test_compiled_chains(self):
@@ -515,23 +515,42 @@ class TestNoiseModel:
 class TestCounts:
     def test_sum_enforced(self):
         with pytest.raises(ValidationError):
-            Counts({"0": 3, "1": 2}, 4)
+            Counts.from_json_dict({"shots": 4, "counts": {"0": 3, "1": 2}})
 
     def test_key_length_enforced(self):
         with pytest.raises(ValidationError):
-            Counts({"0": 1, "10": 1}, 2)
+            Counts.from_json_dict({"shots": 2, "counts": {"0": 1, "10": 1}})
 
     def test_key_alphabet_enforced(self):
         with pytest.raises(ValidationError):
-            Counts({"0x": 1}, 1)
+            Counts.from_json_dict({"shots": 1, "counts": {"0x": 1}})
 
     def test_json_round_trip(self):
-        counts = Counts({"01": 3, "10": 5}, 8)
+        counts = Counts.from_json_dict({"shots": 8, "counts": {"01": 3, "10": 5}})
         data = counts.to_json_dict()
         assert data == {"shots": 8, "counts": {"01": 3, "10": 5}}
         again = Counts.from_json_dict(json.loads(json.dumps(data)))
-        assert again.counts == counts.counts
+        assert dict(again) == dict(counts)
         assert again.shots == counts.shots
+
+    def test_tallies_are_int64(self):
+        counts = Counts.from_json_dict({"shots": 8, "counts": {"10": 5, "01": 3}})
+        assert counts.probs.dtype == np.int64
+        assert list(counts.support) == [1, 2]
+        data = counts.to_json_dict()
+        assert all(type(v) is int for v in data["counts"].values())
+        assert type(data["shots"]) is int
+
+    def test_count_beyond_int64_refused(self):
+        with pytest.raises(ValidationError, match="int64"):
+            Counts.from_json_dict({"shots": 2**63, "counts": {"0": 2**63}})
+
+    def test_bit_reversed_keeps_shots(self):
+        counts = Counts.from_json_dict({"shots": 8, "counts": {"001": 5, "011": 3}})
+        flipped = counts.bit_reversed()
+        assert isinstance(flipped, Counts)
+        assert flipped.shots == 8
+        assert dict(flipped) == {"100": 5, "110": 3}
 
     def test_from_json_rejects_extra_keys(self):
         with pytest.raises(ValidationError):
@@ -541,7 +560,7 @@ class TestCounts:
 class TestSampleCounts:
     def test_deterministic_state(self):
         counts = sample_counts(ZERO, 8192, 123)
-        assert counts.counts == {"0": 8192}
+        assert dict(counts) == {"0": 8192}
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValidationError):
@@ -555,21 +574,21 @@ class TestSampleCounts:
         counts = sample_counts(
             ZERO, 8192, 5, NoiseModel(0.0, 1.0)
         )
-        assert counts.counts == {"1": 8192}
+        assert dict(counts) == {"1": 8192}
 
     def test_binomial_bounds(self):
         # 6 sigma around 4096 at 8192 shots: [3800, 4390]
         state = execute(Circuit(1, [GateOp("H", (0,))]))
         counts = sample_counts(state, 8192, 12345)
-        assert sum(counts.counts.values()) == 8192
-        for bucket in counts.counts.values():
+        assert sum(counts.values()) == 8192
+        for bucket in counts.values():
             assert 3800 <= bucket <= 4390
 
     def test_reproducible_per_seed(self):
         state = execute(Circuit(2, [GateOp("H", (0,))]))
         a = sample_counts(state, 4096, 42, NoiseModel(0.0, 0.02))
         b = sample_counts(state, 4096, 42, NoiseModel(0.0, 0.02))
-        assert a.counts == b.counts
+        assert dict(a) == dict(b)
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
     def test_sampling_consistency(self):
