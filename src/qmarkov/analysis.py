@@ -80,10 +80,13 @@ class FidelityReport:
     observed_shots: int
 
     def to_json_dict(self) -> dict:
+        diffs = self.diffs
+        if isinstance(diffs, Distribution):  # from the arrays, not key by key
+            diffs = zip(diffs, diffs.probs.tolist())
         return {
             "distance": self.hellinger_distance,
             "fidelity": self.hellinger_fidelity,
-            "diffs": dict(self.diffs),
+            "diffs": dict(diffs),
         }
 
 

@@ -153,22 +153,27 @@ class Distribution(Mapping):
     def from_mapping(cls, mapping, what: str = "distribution", normalized: bool = False):
         """Validate a bitstring->probability map; with ``normalized`` it must
         also be non-empty and sum to 1 within 1e-9.  ``Counts`` are divided by
-        their shots first; a ``Distribution`` is returned as it is unless
-        ``normalized`` asks for the sum check."""
+        their shots first; a ``Distribution`` is returned as it is, with
+        ``normalized`` after the same checks on its arrays."""
         if isinstance(mapping, Counts):
             mapping = counts_to_distribution(mapping)
-        if isinstance(mapping, Distribution) and not normalized:
+        arrays = isinstance(mapping, Distribution)
+        if arrays and not normalized:
             return mapping
-        width, index, values, total = parse_bitstring_map(mapping, what)
+        if arrays and np.isfinite(mapping.probs).all() and (mapping.probs >= 0).all():
+            dist, total = mapping, sum(mapping.probs.tolist())
+        else:  # parse, which also names the first bad value of a Distribution
+            width, index, values, total = parse_bitstring_map(mapping, what)
+            order = np.argsort(index, kind="stable")
+            dist = cls(width, index[order], values[order])
         if normalized:
-            if not len(index):
+            if not len(dist):
                 raise ValidationError(f"{what} is empty")
             if abs(total - 1.0) > DIST_SUM_ATOL:
                 raise ValidationError(
                     f"{what} sums to {total}, expected 1 within {DIST_SUM_ATOL}"
                 )
-        order = np.argsort(index, kind="stable")
-        return cls(width, index[order], values[order])
+        return dist
 
     def bit_reversed(self) -> "Distribution":
         """The same distribution keyed with q0 as the rightmost character."""
@@ -276,52 +281,71 @@ class Circuit:
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_CHUNK_ROWS = 1 << 14  # rows of 4 amplitudes (1 MiB) per chunk of a pair block
 
 
-def _inplace_u1(amps, angle, target):
-    view = amps.reshape(1 << target, 2, -1)
-    view[:, 1, :] *= np.exp(1j * angle)
-
-
-def _inplace_x(amps, target, scratch):
-    view = amps.reshape(1 << target, 2, -1)
-    half = scratch[: view[:, 0, :].size].reshape(view[:, 0, :].shape)
-    np.copyto(half, view[:, 0, :])
-    view[:, 0, :] = view[:, 1, :]
-    view[:, 1, :] = half
-
-
-def _inplace_h(amps, target, scratch):
-    view = amps.reshape(1 << target, 2, -1)
-    lower = view[:, 0, :]
-    upper = view[:, 1, :]
-    diff = scratch[: lower.size].reshape(lower.shape)
+def _hadamard(lower, upper, diff):
     np.subtract(lower, upper, out=diff)
     lower += upper
     lower *= _INV_SQRT2
     np.multiply(diff, _INV_SQRT2, out=upper)
 
 
-def _inplace_cnot(amps, control, target, scratch):
-    lo, hi = (control, target) if control < target else (target, control)
-    view = amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
-    if control < target:
-        src = view[:, 1, :, 0, :]
+def _apply(amps, op, scratch):
+    """The per-op kernel of one primitive on ``amps``, in place."""
+    view = amps.reshape(1 << op.qubits[-1], 2, -1)
+    src, dst = view[:, 0, :], view[:, 1, :]
+    if op.name == "CNOT":
+        lo, hi = sorted(op.qubits)
+        view = amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+        src = view[:, 1, :, 0, :] if lo == op.qubits[0] else view[:, 0, :, 1, :]
         dst = view[:, 1, :, 1, :]
-    else:
-        src = view[:, 0, :, 1, :]
-        dst = view[:, 1, :, 1, :]
-    quarter = scratch[: src.size].reshape(src.shape)
-    np.copyto(quarter, src)
-    src[:] = dst
-    dst[:] = quarter
+    held = scratch[: src.size].reshape(src.shape)
+    if op.name == "H":
+        _hadamard(src, dst, held)
+    elif op.name == "U1":
+        dst *= np.exp(1j * op.angle)
+    else:  # X or CNOT: swap the two parts the gate exchanges
+        np.copyto(held, src)
+        src[:] = dst
+        dst[:] = held
 
 
-def _grow(amps, width, new_width, scratch):
-    """Widen the prefix state ``amps[: 1 << width]`` to ``new_width`` qubits in |0>."""
-    np.copyto(scratch[: 1 << width], amps[: 1 << width])
-    amps[: 1 << new_width] = 0
-    amps[: 1 << new_width].reshape(1 << width, -1)[:, 0] = scratch[: 1 << width]
+def _pair_block(state, width, ops):
+    """Run ``ops`` on the two low qubits of ``state`` by chunks of (rows, 4).
+    Column ``where[c]`` holds the amplitudes whose low qubits read c: X and
+    CNOT only change ``where``; one gather per chunk moves it back to c."""
+    where, steps = [0, 1, 2, 3], []
+    for op in ops:
+        *control, bit = [1 << (width - 1 - q) for q in op.qubits]
+        if op.name in ("X", "CNOT"):
+            mask = sum(control)
+            where = [where[c ^ bit if c & mask == mask else c] for c in range(4)]
+        else:
+            phase = None if op.name == "H" else np.exp(1j * op.angle)
+            steps.append((phase, [(where[c], where[c | bit]) for c in range(4) if not c & bit]))
+    rows = state.reshape(-1, 4)
+    diff = np.empty(min(len(rows), _CHUNK_ROWS), dtype=np.complex128)
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        columns = [rows[start : start + _CHUNK_ROWS, c] for c in range(4)]
+        for phase, pairs in steps:
+            for lower, upper in pairs:
+                if phase is None:
+                    _hadamard(columns[lower], columns[upper], diff)
+                else:
+                    columns[upper] *= phase
+        if where != [0, 1, 2, 3]:
+            rows[start : start + _CHUNK_ROWS] = rows[start : start + _CHUNK_ROWS, where]
+
+
+def _grow(amps, width, new_width):
+    """Spread ``amps[: 1 << width]`` over ``new_width`` qubits in |0>, top chunk first."""
+    shift, step = new_width - width, min(1 << width, _CHUNK_ROWS)
+    for start in range((1 << width) - step, -1, -step):
+        chunk = amps[start : start + step].copy()
+        spread = amps[start << shift : (start + step) << shift]
+        spread[:] = 0
+        spread[:: 1 << shift] = chunk
 
 
 def _check_seed(rng_seed: int | None) -> None:
@@ -352,29 +376,32 @@ def execute(
     n = circuit.num_qubits
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0] = 1.0
-    # In-place primitive kernels on the owned buffer; one shared scratch half.
-    scratch = np.empty(max(1, amps.size // 2), dtype=np.complex128)
-    # Untouched qubits are |0>: kernels run on the prefix of qubits 0..width-1.
-    width = 0
-    for op in circuit.ops:
-        if (top := max(op.qubits) + 1) > width:
-            _grow(amps, width, top, scratch)
+    # Untouched qubits are |0>: ops run on the prefix of qubits 0..width-1.
+    width, scratch, ops, i = 0, np.empty(0, dtype=np.complex128), circuit.ops, 0
+    while i < len(ops):
+        if (top := max(ops[i].qubits) + 1) > width:
+            _grow(amps, width, top)
             width = top
         state = amps[: 1 << width]
-        if op.name == "H":
-            _inplace_h(state, op.qubits[0], scratch)
-        elif op.name == "U1":
-            _inplace_u1(state, op.angle, op.qubits[0])
-        elif op.name == "X":
-            _inplace_x(state, op.qubits[0], scratch)
+        # A pair block: 2+ ops in a row on the two lowest qubits, 2+ rows of 4.
+        end = i + 1
+        if width > 2 and {*ops[i].qubits} <= (pair := {width - 2, width - 1}):
+            while end < len(ops) and {*ops[end].qubits} <= pair:
+                end += 1
+        run = ops[i:end]
+        if rng is not None:  # each op, then an X on each qubit its gate noise flips
+            xs = [[GateOp("X", (q,)) for q in op.qubits if rng.random() < flip_prob] for op in run]
+            run = [x for op, flips in zip(run, xs) for x in (op, *flips)]
+        if end - i > 1:
+            _pair_block(state, width, run)
         else:
-            _inplace_cnot(state, op.qubits[0], op.qubits[1], scratch)
-        if rng is not None:
-            for q in op.qubits:
-                if rng.random() < flip_prob:
-                    _inplace_x(state, q, scratch)
+            if scratch.size < state.size // 2:
+                scratch = np.empty(state.size // 2, dtype=np.complex128)
+            for op in run:
+                _apply(state, op, scratch)
+        i = end
     if width < n:
-        _grow(amps, width, n, scratch)
+        _grow(amps, width, n)
     return Statevector(n, amps)
 
 

@@ -150,6 +150,41 @@ class TestValidateDistribution:
         with pytest.raises(ValidationError):
             validate_distribution({"0z": 1.0})
 
+    @staticmethod
+    def message(value):
+        with pytest.raises(ValidationError) as info:
+            validate_distribution(value)
+        return str(info.value)
+
+    def test_distribution_checked_on_its_arrays(self, monkeypatch):
+        # A Distribution (or Counts) is checked from its arrays, never key by
+        # key, with the same result and messages as its bitstring map.
+        chain = worked_chain()
+        exact = probabilities(execute(compile_to_circuit(chain)))
+        counts = sample_counts(execute(compile_to_circuit(chain)), 512, 3)
+        want = [validate_distribution(dict(d)) for d in (exact, counts_to_distribution(counts))]
+        short = Distribution(1, np.array([0, 1]), np.array([0.7, 0.2]))
+        empty = Distribution(0, np.zeros(0, dtype=np.int64), np.zeros(0))
+        messages = [self.message(dict(short)), self.message({})]
+
+        def refuse(self, key):
+            raise AssertionError("read key by key")
+
+        monkeypatch.setattr(Distribution, "__getitem__", refuse)
+        got = [validate_distribution(exact), validate_distribution(counts)]
+        assert [self.message(short), self.message(empty)] == messages
+        monkeypatch.undo()
+        for g, w in zip(got, want):
+            assert g.width == w.width
+            assert np.array_equal(g.support, w.support)
+            assert np.array_equal(g.probs, w.probs)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.25])
+    def test_bad_value_in_distribution_named(self, bad):
+        dist = Distribution(2, np.array([0, 2, 3]), np.array([0.75, bad, 0.25]))
+        assert self.message(dist) == self.message(dict(dist))
+        assert "'10'" in self.message(dist)
+
 
 class TestCompareRuns:
     def test_self_comparison(self):
@@ -212,6 +247,22 @@ class TestCompareRuns:
         report = compare_runs({"00": 0.5, "11": 0.5}, histogram({"00": 3, "01": 1}, 4))
         data = json.loads(json.dumps(report.to_json_dict()))
         assert data["diffs"] == {"00": 0.25, "01": 0.25, "11": 0.5}
+
+    def test_json_dict_reads_arrays(self, monkeypatch):
+        chain = worked_chain()
+        counts = sample_counts(execute(compile_to_circuit(chain)), 512, 3)
+        report = compare_runs(enumerate_paths(chain), counts)
+        want = {
+            "distance": report.hellinger_distance,
+            "fidelity": report.hellinger_fidelity,
+            "diffs": dict(report.diffs),
+        }
+
+        def refuse(self, key):
+            raise AssertionError("read key by key")
+
+        monkeypatch.setattr(Distribution, "__getitem__", refuse)
+        assert json.dumps(report.to_json_dict()) == json.dumps(want)
 
     def test_json_dict(self):
         report = FidelityReport(0.25, 0.75, {"0": 0.1}, 0, 8192)

@@ -359,26 +359,67 @@ class TestExecute:
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-10
 
 
+# The per-op kernels as they stood before the pair-block path, frozen here so
+# the full-width reference keeps that arithmetic whatever ``core`` becomes.
+def reference_u1(amps, angle, target):
+    view = amps.reshape(1 << target, 2, -1)
+    view[:, 1, :] *= np.exp(1j * angle)
+
+
+def reference_x(amps, target, scratch):
+    view = amps.reshape(1 << target, 2, -1)
+    half = scratch[: view[:, 0, :].size].reshape(view[:, 0, :].shape)
+    np.copyto(half, view[:, 0, :])
+    view[:, 0, :] = view[:, 1, :]
+    view[:, 1, :] = half
+
+
+def reference_h(amps, target, scratch):
+    view = amps.reshape(1 << target, 2, -1)
+    lower = view[:, 0, :]
+    upper = view[:, 1, :]
+    diff = scratch[: lower.size].reshape(lower.shape)
+    np.subtract(lower, upper, out=diff)
+    lower += upper
+    lower *= 1.0 / math.sqrt(2.0)
+    np.multiply(diff, 1.0 / math.sqrt(2.0), out=upper)
+
+
+def reference_cnot(amps, control, target, scratch):
+    lo, hi = (control, target) if control < target else (target, control)
+    view = amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+    if control < target:
+        src = view[:, 1, :, 0, :]
+        dst = view[:, 1, :, 1, :]
+    else:
+        src = view[:, 0, :, 1, :]
+        dst = view[:, 1, :, 1, :]
+    quarter = scratch[: src.size].reshape(src.shape)
+    np.copyto(quarter, src)
+    src[:] = dst
+    dst[:] = quarter
+
+
 def full_width_execute(circuit, noise=None, rng_seed=None):
     """Reference for ``execute``: every op, and every noise flip, on the full
-    2**n buffer with the same kernels and the same draw order."""
+    2**n buffer with the frozen kernels and the same draw order."""
     amps = zero_state(circuit.num_qubits)
     scratch = np.empty(max(1, amps.size // 2), dtype=complex)
     flip_prob = noise.gate_flip_prob if noise is not None else 0.0
     rng = np.random.default_rng(rng_seed) if flip_prob > 0.0 else None
     for op in circuit.ops:
         if op.name == "H":
-            core._inplace_h(amps, op.qubits[0], scratch)
+            reference_h(amps, op.qubits[0], scratch)
         elif op.name == "U1":
-            core._inplace_u1(amps, op.angle, op.qubits[0])
+            reference_u1(amps, op.angle, op.qubits[0])
         elif op.name == "X":
-            core._inplace_x(amps, op.qubits[0], scratch)
+            reference_x(amps, op.qubits[0], scratch)
         else:
-            core._inplace_cnot(amps, op.qubits[0], op.qubits[1], scratch)
+            reference_cnot(amps, op.qubits[0], op.qubits[1], scratch)
         if rng is not None:
             for q in op.qubits:
                 if rng.random() < flip_prob:
-                    core._inplace_x(amps, q, scratch)
+                    reference_x(amps, q, scratch)
     return amps
 
 
@@ -406,21 +447,26 @@ def touching_in_order(rng, num_qubits, order):
 
 
 class TestGrowingPrefix:
-    """``execute`` runs the kernels only on the qubits touched so far; the
-    result must equal the full-width run bit for bit."""
+    """``execute`` runs the kernels only on the qubits touched so far, and
+    pair blocks chunk by chunk; the result must equal the full-width run bit
+    for bit."""
 
     NOISES = (None, NoiseModel(0.2, 0.0))
 
-    def assert_same_as_full_width(self, circuit):
+    def assert_same_as_full_width(self, circuit, seeds=(0, 1, 2), signed_zeros=True):
+        # Without ``signed_zeros``, -0.0 and +0.0 compare equal: an amplitude
+        # that stays exactly zero gets its sign from ops the prefix never
+        # runs (U1 with a negative cosine on a zero), which no output shows.
         for noise in self.NOISES:
-            for seed in (0, 1, 2):
+            for seed in seeds:
                 state = execute(circuit, noise=noise, rng_seed=seed)
                 ref = Statevector(
                     circuit.num_qubits, full_width_execute(circuit, noise, seed)
                 )
-                assert np.array_equal(
-                    np.abs(state.amplitudes) ** 2, np.abs(ref.amplitudes) ** 2
-                )
+                got, want = state.amplitudes, ref.amplitudes
+                if not signed_zeros:
+                    got, want = got + 0.0, want + 0.0
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
                 assert (
                     dict(sample_counts(state, 1024, seed))
                     == dict(sample_counts(ref, 1024, seed))
@@ -430,6 +476,12 @@ class TestGrowingPrefix:
         rng = np.random.default_rng(41)
         for steps in range(1, 13):
             self.assert_same_as_full_width(compile_to_circuit(random_chain(rng, steps)))
+
+    def test_compiled_chain_in_several_chunks(self):
+        # n = 18: the last pair block has 2**16 rows, four chunks.
+        assert (1 << 16) // core._CHUNK_ROWS == 4
+        chain = BinaryMarkovChain((0.3, 0.7), ((0.6, 0.4), (0.2, 0.8)), 18)
+        self.assert_same_as_full_width(compile_to_circuit(chain), seeds=(5,))
 
     def test_touch_orders(self):
         rng = np.random.default_rng(42)
@@ -442,29 +494,42 @@ class TestGrowingPrefix:
                 rng.permutation(num_qubits),
                 some,
             ):
-                self.assert_same_as_full_width(touching_in_order(rng, num_qubits, order))
+                self.assert_same_as_full_width(
+                    touching_in_order(rng, num_qubits, order), signed_zeros=False
+                )
 
     def test_empty_circuit(self):
         for num_qubits in (1, 2, 5):
             self.assert_same_as_full_width(Circuit(num_qubits, []))
 
     def test_work_follows_touched_qubits(self, monkeypatch):
+        # (path, amplitudes) per op: the per-op kernels record one entry per
+        # call, the pair-block runner one per op of its run.
         sizes = []
-        for name in ("_inplace_h", "_inplace_x", "_inplace_u1", "_inplace_cnot"):
-            def record(amps, *args, kernel=getattr(core, name)):
-                sizes.append(amps.size)
-                kernel(amps, *args)
+        runs = []
 
-            monkeypatch.setattr(core, name, record)
+        def record_op(amps, op, scratch, kernel=core._apply):
+            sizes.append(("op", amps.size))
+            kernel(amps, op, scratch)
+
+        def record_block(state, width, ops, runner=core._pair_block):
+            runs.append(len(ops))
+            sizes.extend([("block", state.size)] * len(ops))
+            runner(state, width, ops)
+
+        monkeypatch.setattr(core, "_apply", record_op)
+        monkeypatch.setattr(core, "_pair_block", record_block)
         chain = BinaryMarkovChain((0.3, 0.7), ((0.6, 0.4), (0.2, 0.8)), 12)
         execute(compile_to_circuit(chain))
         # The initial rotation acts on q0 alone; pair block t is 16 ops on
-        # q_t and q_t+1, the first of which is on q_t+1.
-        assert sizes[:3] == [2] * 3
+        # q_t and q_t+1, the first of which is on q_t+1.  Block 0 (one row of
+        # four amplitudes) runs per op, every later block as one chunked run.
+        assert sizes[:3] == [("op", 2)] * 3
         blocks = [sizes[3 + 16 * t : 3 + 16 * (t + 1)] for t in range(11)]
-        assert blocks == [[1 << (t + 2)] * 16 for t in range(11)]
+        assert blocks == [[("op" if t == 0 else "block", 1 << (t + 2))] * 16 for t in range(11)]
+        assert runs == [16] * 10
         # Full width every op would be 16 * 11 * 2**12 + 3 * 2**12.
-        assert sum(sizes) == sum(16 << (t + 2) for t in range(11)) + 3 * 2
+        assert sum(size for _, size in sizes) == sum(16 << (t + 2) for t in range(11)) + 3 * 2
 
     @staticmethod
     def traced_peak(run_it):
@@ -488,6 +553,19 @@ class TestGrowingPrefix:
         circuit = compile_to_circuit(chain)
         reference = self.traced_peak(lambda: full_width_execute(circuit))
         assert self.traced_peak(lambda: execute(circuit)) <= reference + 64 * 1024
+
+    def test_peak_memory_of_compiled_chain_is_state_alone(self):
+        # Growth spreads the prefix in place and pair blocks move no data for
+        # X and CNOT, so at n = 20 only chunk-sized buffers sit beside the
+        # 16 MiB state.
+        chain = BinaryMarkovChain((0.3, 0.7), ((0.6, 0.4), (0.2, 0.8)), 20)
+        circuit = compile_to_circuit(chain)
+        for noise in (None, NoiseModel(0.2, 0.0)):
+            def run_it():
+                execute(circuit, noise=noise, rng_seed=3)
+
+            run_it()  # lazy imports on first use (numpy.random) are not execute's memory
+            assert self.traced_peak(run_it) <= 16 * (1 << 20) + 2 * (1 << 20)
 
 
 class TestCircuitValidation:
