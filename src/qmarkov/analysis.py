@@ -104,6 +104,46 @@ def compare_runs(reference, observed) -> FidelityReport:
     return FidelityReport(distance, 1.0 - distance, diffs, *shots)
 
 
+_CHUNK = 1 << 16  # entries per record matrix of _distribution_text
+_VALUE_BYTES = 24  # every %.17g float and %d int64 fits, e.g. -2.2250738585072014e-308
+
+
+def _distribution_text(dist: Distribution) -> str:
+    """``{"key": value, ...}`` over the support, built without a Python
+    object per entry: each distinct value is formatted once, and each chunk
+    of entries fills a matrix of fixed-width records whose NUL padding one
+    mask drops."""
+    integral = dist.probs.dtype.kind == "i"
+    probs = np.asarray(dist.probs, dtype=np.int64 if integral else np.float64)
+    if not np.isfinite(probs).all():
+        raise ValidationError("cannot serialize a non-finite probability")
+    if not len(probs):
+        return "{}"
+    # Keyed on bit patterns, so -0.0 stays apart from 0.0.
+    uniq, inverse = np.unique(probs.view(np.uint64), return_inverse=True)
+    fmt = b"%-24d" if integral else b"%-24.17g"
+    padded = (fmt * len(uniq)) % tuple(uniq.view(probs.dtype).tolist())
+    table = np.frombuffer(padded.replace(b" ", b"\0"), np.uint8).reshape(-1, _VALUE_BYTES)
+    # Record layout: '"' key '": ' value ', ', the value NUL-padded.
+    key_bytes = max(dist.width, 1)  # bitstring_bytes gives S1 at width 0
+    value_at = key_bytes + 4
+    records = np.empty((min(len(probs), _CHUNK), value_at + _VALUE_BYTES + 2), np.uint8)
+    records[:, 0] = ord('"')
+    records[:, value_at - 3 : value_at] = np.frombuffer(b'": ', np.uint8)
+    records[:, -2:] = np.frombuffer(b", ", np.uint8)
+    pieces = ["{"]
+    for start in range(0, len(probs), _CHUNK):
+        support = dist.support[start : start + _CHUNK]
+        chunk = records[: len(support)]
+        keys = bitstring_bytes(support, dist.width)
+        chunk[:, 1 : value_at - 3] = keys.view(np.uint8).reshape(len(support), key_bytes)
+        chunk[:, value_at:-2] = table[inverse[start : start + _CHUNK]]
+        pieces.append(chunk[chunk != 0].tobytes().decode("ascii"))
+    pieces[-1] = pieces[-1][:-2]
+    pieces.append("}")
+    return "".join(pieces)
+
+
 def to_json_text(value) -> str:
     """JSON text with floats rendered at 17 significant digits (lossless).
 
@@ -112,18 +152,9 @@ def to_json_text(value) -> str:
     infinity have no JSON form and raise ``ValidationError``.
     """
     if isinstance(value, Counts):
-        tallies = Distribution(value.width, value.support, value.probs)
-        return '{"shots": %d, "counts": %s}' % (value.shots, to_json_text(tallies))
+        return '{"shots": %d, "counts": %s}' % (value.shots, _distribution_text(value))
     if isinstance(value, Distribution):
-        probs = value.probs
-        if not np.isfinite(probs).all():
-            raise ValidationError("cannot serialize a non-finite probability")
-        items = [None] * (2 * len(probs))
-        items[::2] = bitstring_bytes(value.support, value.width).tolist()
-        items[1::2] = probs.tolist()
-        entry = b'"%s": %d' if probs.dtype.kind == "i" else b'"%s": %.17g'
-        body = b", ".join([entry] * len(probs)) % tuple(items)
-        return "{" + body.decode("ascii") + "}"
+        return _distribution_text(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValidationError(f"cannot serialize the non-finite number {value}")

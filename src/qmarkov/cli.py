@@ -97,7 +97,8 @@ def _emit(result, args) -> None:
         print(text)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
 
 
 def cmd_compile(args) -> int:
@@ -148,7 +149,7 @@ def _load_result(path):
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object")
-    if set(data) == {"shots", "counts"}:
+    if data.keys() == {"shots", "counts"}:
         return Counts.from_json_dict(data)
     return validate_distribution(data, str(path))
 

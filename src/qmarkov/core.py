@@ -223,6 +223,14 @@ class Statevector:
             raise ValidationError(f"state norm must be 1 within 1e-10, got {norm}")
         self.amplitudes = amps
 
+    @classmethod
+    def _unchecked(cls, num_qubits: int, amplitudes: np.ndarray) -> "Statevector":
+        """A state ``execute`` built from unitary kernels, without the
+        constructor's full pass over the amplitudes for the norm."""
+        state = object.__new__(cls)
+        state.num_qubits, state.amplitudes = num_qubits, amplitudes
+        return state
+
 
 def probabilities(state: Statevector) -> Distribution:
     """Born-rule distribution over the register's basis states.
@@ -402,7 +410,7 @@ def execute(
         i = end
     if width < n:
         _grow(amps, width, n)
-    return Statevector(n, amps)
+    return Statevector._unchecked(n, amps)
 
 
 class Counts(Distribution):

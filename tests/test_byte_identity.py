@@ -12,8 +12,11 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import brute_paths, random_chain
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qmarkov import compile_to_circuit, execute, load_chain
+from qmarkov import Counts, Distribution, compile_to_circuit, execute, load_chain
+from qmarkov.analysis import _CHUNK, to_json_text
 from qmarkov.cli import main
 
 SHOTS = 2048
@@ -208,3 +211,71 @@ def test_fidelity_keeps_explicit_zero_entries(capsys, tmp_path):
         {"000": 0.5, "100": 0.25, "110": 0.125, "111": 0.125},
     )
     assert text == reference_text(expected)
+
+
+def keyed(dist) -> dict:
+    """The entries of an array-held distribution as a bitstring-keyed dict."""
+    return {
+        format(int(i), f"0{dist.width}b"): v
+        for i, v in zip(dist.support.tolist(), dist.probs.tolist())
+    }
+
+
+# 0.0 and -0.0, the least subnormal, the 24-character extremes, and 1.0.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, -1.7976931348623157e308, 1.0]
+
+
+@st.composite
+def distributions(draw):
+    width = draw(st.integers(1, 63))
+    index = draw(st.lists(st.integers(0, (1 << width) - 1), unique=True, max_size=40))
+    values = draw(st.lists(
+        st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=len(index), max_size=len(index),
+    ))
+    return Distribution(width, np.array(sorted(index), dtype=np.int64), np.array(values))
+
+
+@given(distributions())
+@example(Distribution(63, np.array([0, 1, 2**63 - 1]), np.array([0.0, -0.0, 0.0])))
+@settings(max_examples=300, deadline=None)
+def test_distribution_text_matches_reference(dist):
+    assert to_json_text(dist) == reference_text(keyed(dist))
+
+
+@pytest.mark.parametrize("size", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_distribution_text_across_chunk_edges(size):
+    rng = np.random.default_rng(size)
+    width = 17
+    support = np.sort(rng.choice(1 << width, size=size, replace=False))
+    pool = np.array(EDGE_VALUES + rng.random(200).tolist())
+    dist = Distribution(width, support, rng.choice(pool, size=size))
+    assert to_json_text(dist) == reference_text(keyed(dist))
+
+
+def test_empty_distribution_text():
+    for width in (0, 5):
+        empty = Distribution(width, np.zeros(0, dtype=np.int64), np.zeros(0))
+        assert to_json_text(empty) == "{}" == reference_text({})
+
+
+def test_all_distinct_distribution_text():
+    width = 17
+    rng = np.random.default_rng(17)
+    dist = Distribution(width, np.arange(1 << width), rng.random(1 << width))
+    assert len(np.unique(dist.probs)) == 1 << width
+    assert to_json_text(dist) == reference_text(keyed(dist))
+
+
+@pytest.mark.parametrize("order", ["time", "reversed"])
+def test_counts_text_matches_reference(order):
+    rng = np.random.default_rng(9)
+    width, size = 20, 3 * _CHUNK // 2
+    support = np.sort(rng.choice(1 << width, size=size, replace=False))
+    tallies = rng.choice(np.array([0, 1, 7, 2**62, 2**63 - 1]), size=size)
+    counts = Counts(width, support, tallies, int(rng.integers(1, 2**31)))
+    expected = {"shots": counts.shots, "counts": keyed(counts)}
+    if order == "reversed":
+        counts = counts.bit_reversed()
+        expected["counts"] = reversed_keys(expected["counts"])
+    assert to_json_text(counts) == reference_text(expected)

@@ -85,6 +85,21 @@ class TestStatevectorInvariants:
         with pytest.raises(ValidationError):
             Statevector(1, np.array([1.0, 1.0]))
 
+    def test_constructor_checks_what_execute_skips(self):
+        with pytest.raises(ValidationError):
+            Statevector(3, np.full(8, 1.0 / math.sqrt(8)) * (1 + 1e-9))
+        with pytest.raises(ValidationError):
+            Statevector(2, np.eye(2) / math.sqrt(2))
+        state = execute(Circuit(3, [GateOp("H", (0,)), GateOp("CNOT", (0, 2))]))
+        assert Statevector(3, state.amplitudes).num_qubits == 3
+
+    def test_execute_keeps_unit_norm_on_compiled_chains(self):
+        rng = np.random.default_rng(16)
+        for steps in range(1, 17):
+            state = execute(compile_to_circuit(random_chain(rng, steps=steps)))
+            assert state.amplitudes.shape == (1 << steps,)
+            assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
+
 
 class TestApplySingle:
     def test_x_on_zero(self):
@@ -356,7 +371,7 @@ class TestExecute:
                     c, t = rng.choice(num_qubits, size=2, replace=False)
                     ops.append(GateOp("CNOT", (int(c), int(t))))
             state = execute(Circuit(num_qubits, ops))
-            assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-10
+            assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
 
 
 # The per-op kernels as they stood before the pair-block path, frozen here so
