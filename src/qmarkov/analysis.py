@@ -1,7 +1,6 @@
 """Distribution utilities: counts normalization, the Hellinger metric with
 its fidelity complement, and run-comparison reports."""
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -66,7 +65,7 @@ def hellinger_fidelity(p, q) -> float:
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Comparison of two runs; fidelity is exactly 1 - distance.
+    """Comparison of two runs; fidelity is 1 - distance by construction.
 
     ``diffs`` holds per-bitstring absolute probability differences over the
     union of supports, in key order; a shots field of 0 marks an exact
@@ -74,20 +73,13 @@ class FidelityReport:
     """
 
     hellinger_distance: float
-    hellinger_fidelity: float
     diffs: Distribution
     reference_shots: int
     observed_shots: int
 
-    def to_json_dict(self) -> dict:
-        diffs = self.diffs
-        if isinstance(diffs, Distribution):  # from the arrays, not key by key
-            diffs = zip(diffs, diffs.probs.tolist())
-        return {
-            "distance": self.hellinger_distance,
-            "fidelity": self.hellinger_fidelity,
-            "diffs": dict(diffs),
-        }
+    @property
+    def hellinger_fidelity(self) -> float:
+        return 1.0 - self.hellinger_distance
 
 
 def compare_runs(reference, observed) -> FidelityReport:
@@ -98,10 +90,9 @@ def compare_runs(reference, observed) -> FidelityReport:
     Work and memory scale with the supports, not with 2**width.
     """
     width, union, ref_probs, obs_probs = _on_union(reference, observed, "reference", "observed")
-    distance = _distance(ref_probs, obs_probs)
     diffs = Distribution(width, union, np.abs(ref_probs - obs_probs))
     shots = [side.shots if isinstance(side, Counts) else 0 for side in (reference, observed)]
-    return FidelityReport(distance, 1.0 - distance, diffs, *shots)
+    return FidelityReport(_distance(ref_probs, obs_probs), diffs, *shots)
 
 
 _CHUNK = 1 << 16  # entries per record matrix of _distribution_text
@@ -145,27 +136,23 @@ def _distribution_text(dist: Distribution) -> str:
 
 
 def to_json_text(value) -> str:
-    """JSON text with floats rendered at 17 significant digits (lossless).
+    """JSON text of a result, floats rendered at 17 significant digits
+    (lossless).
 
     A ``Distribution`` renders as an object over its support in index order,
-    and ``Counts`` as ``{"shots": int, "counts": {bitstring: int}}``.  NaN and
-    infinity have no JSON form and raise ``ValidationError``.
+    ``Counts`` as ``{"shots": int, "counts": {bitstring: int}}`` and a
+    ``FidelityReport`` as ``{"distance": float, "fidelity": float, "diffs":
+    {bitstring: float}}``.  NaN and infinity have no JSON form and raise
+    ``ValidationError``; any other type raises ``TypeError``.
     """
     if isinstance(value, Counts):
         return '{"shots": %d, "counts": %s}' % (value.shots, _distribution_text(value))
     if isinstance(value, Distribution):
         return _distribution_text(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValidationError(f"cannot serialize the non-finite number {value}")
-        return format(value, ".17g")
-    if isinstance(value, (bool, int, str)) or value is None:
-        return json.dumps(value)
-    if isinstance(value, dict):
-        body = ", ".join(
-            f"{json.dumps(str(k))}: {to_json_text(v)}" for k, v in value.items()
-        )
-        return "{" + body + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(to_json_text(v) for v in value) + "]"
+    if isinstance(value, FidelityReport):
+        floats = (value.hellinger_distance, value.hellinger_fidelity)
+        if not all(map(math.isfinite, floats)):
+            raise ValidationError(f"cannot serialize the non-finite distance {floats[0]}")
+        diffs = _distribution_text(value.diffs)
+        return '{"distance": %.17g, "fidelity": %.17g, "diffs": %s}' % (*floats, diffs)
     raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -155,14 +155,7 @@ def _load_result(path):
 
 
 def cmd_fidelity(args) -> int:
-    report = compare_runs(_load_result(args.file_a), _load_result(args.file_b))
-    # The same fields as report.to_json_dict(), with diffs kept as arrays.
-    payload = {
-        "distance": report.hellinger_distance,
-        "fidelity": report.hellinger_fidelity,
-        "diffs": report.diffs,
-    }
-    print(to_json_text(payload))
+    print(to_json_text(compare_runs(_load_result(args.file_a), _load_result(args.file_b))))
     return 0
 
 

@@ -472,11 +472,15 @@ def sample_counts(
         raise ValidationError("rng_seed is required for sampling")
     _check_seed(rng_seed)
     n = state.num_qubits
+    flip_prob = noise.readout_flip_prob if noise is not None else 0.0
+    # numpy sizes no array beyond intp's range in bytes: the int64 outcomes
+    # and, with readout noise, the shots x n float64 uniforms.
+    if int(shots) * 8 * (n if flip_prob > 0.0 else 1) > np.iinfo(np.intp).max:
+        raise ValidationError(f"shots={shots} is too many: numpy cannot size the draw arrays")
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(rng_seed)
     outcomes = rng.choice(probs.size, size=shots, p=probs)
-    flip_prob = noise.readout_flip_prob if noise is not None else 0.0
     if flip_prob > 0.0:
         flips = rng.random((shots, n)) < flip_prob
         weights = 1 << np.arange(n - 1, -1, -1)  # q0 is the MSB

@@ -130,9 +130,7 @@ def compile_to_circuit(
     check_capacity(chain.steps, "chain", max_qubits)
     p01 = chain.transition[0][1]
     p11 = chain.transition[1][1]
-    ops = remap_qubits(
-        nth_root_x_sequence(solve_rotation_order(chain.initial[0])), (0,)
-    )
+    ops = nth_root_x_sequence(solve_rotation_order(chain.initial[0]))
     pair = controlled_nth_root_x_sequence(solve_rotation_order(1.0 - p11))
     anti = anti_controlled_sequence(solve_rotation_order(1.0 - p01)) if p01 > 0.0 else None
     for t in range(chain.steps - 1):

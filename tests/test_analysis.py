@@ -245,7 +245,7 @@ class TestCompareRuns:
 
     def test_report_json_dict_is_plain(self):
         report = compare_runs({"00": 0.5, "11": 0.5}, histogram({"00": 3, "01": 1}, 4))
-        data = json.loads(json.dumps(report.to_json_dict()))
+        data = json.loads(to_json_text(report))
         assert data["diffs"] == {"00": 0.25, "01": 0.25, "11": 0.5}
 
     def test_json_dict_reads_arrays(self, monkeypatch):
@@ -262,11 +262,12 @@ class TestCompareRuns:
             raise AssertionError("read key by key")
 
         monkeypatch.setattr(Distribution, "__getitem__", refuse)
-        assert json.dumps(report.to_json_dict()) == json.dumps(want)
+        assert json.loads(to_json_text(report)) == want
 
     def test_json_dict(self):
-        report = FidelityReport(0.25, 0.75, {"0": 0.1}, 0, 8192)
-        assert report.to_json_dict() == {
+        report = FidelityReport(0.25, Distribution(1, np.array([0]), np.array([0.1])), 0, 8192)
+        assert report.hellinger_fidelity == 0.75
+        assert json.loads(to_json_text(report)) == {
             "distance": 0.25,
             "fidelity": 0.75,
             "diffs": {"0": 0.1},
@@ -290,35 +291,41 @@ class TestSamplingConvergence:
         assert means[0] < means[1] < means[2]
 
 
+def report_with_distance(distance: float) -> FidelityReport:
+    return FidelityReport(distance, Distribution(1, np.array([1]), np.array([0.5])), 0, 0)
+
+
 class TestJsonText:
     def test_float_formatting(self):
-        text = to_json_text({"a": 1.0 / 3.0})
-        assert text == '{"a": 0.33333333333333331}'
-        assert json.loads(text)["a"] == 1.0 / 3.0
+        text = to_json_text(report_with_distance(1.0 / 3.0))
+        assert text == (
+            '{"distance": 0.33333333333333331, "fidelity": 0.66666666666666674, '
+            '"diffs": {"1": 0.5}}'
+        )
+        assert json.loads(text)["distance"] == 1.0 / 3.0
 
     def test_nested(self):
-        text = to_json_text({"counts": {"00": 5}, "shots": 5})
+        text = to_json_text(histogram({"00": 5}, 5))
+        assert text == '{"shots": 5, "counts": {"00": 5}}'
         assert json.loads(text) == {"counts": {"00": 5}, "shots": 5}
 
     def test_simple_values(self):
-        assert to_json_text(0.5) == "0.5"
-        assert to_json_text(True) == "true"
-        assert to_json_text(None) == "null"
-        assert to_json_text([1, 2.5]) == "[1, 2.5]"
+        # Only result types serialize; plain values have no JSON form here.
+        for value in ({"a": 0.5}, 0.5, [1, 2.5], None):
+            with pytest.raises(TypeError):
+                to_json_text(value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValidationError):
-            to_json_text(bad)
-        with pytest.raises(ValidationError):
-            to_json_text({"a": [bad]})
+            to_json_text(report_with_distance(bad))
         with pytest.raises(ValidationError):
             to_json_text(Distribution.from_vector(1, np.array([bad, 0.5])))
 
     def test_distribution_matches_dict_form(self):
         dist = Distribution.from_vector(2, np.array([0.0, 1.0 / 3.0, 0.0, 2.0 / 3.0]))
-        assert to_json_text(dist) == to_json_text(dict(dist.items()))
         assert to_json_text(dist) == '{"01": 0.33333333333333331, "11": 0.66666666666666663}'
+        assert json.loads(to_json_text(dist)) == dict(dist.items())
 
     def test_unserializable(self):
         with pytest.raises(TypeError):

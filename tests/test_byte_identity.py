@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmarkov import Counts, Distribution, compile_to_circuit, execute, load_chain
-from qmarkov.analysis import _CHUNK, to_json_text
+from qmarkov.analysis import _CHUNK, compare_runs, to_json_text
 from qmarkov.cli import main
 
 SHOTS = 2048
@@ -279,3 +279,19 @@ def test_counts_text_matches_reference(order):
         counts = counts.bit_reversed()
         expected["counts"] = reversed_keys(expected["counts"])
     assert to_json_text(counts) == reference_text(expected)
+
+
+@pytest.mark.parametrize("size", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_report_text_across_chunk_edges(size):
+    rng = np.random.default_rng(size + 1)
+    width = 17
+    union = np.sort(rng.choice(1 << width, size=size, replace=False))
+    side = rng.integers(0, 3, size=size)  # 0: reference only, 1: observed only, 2: both
+    sides = []
+    for absent in (1, 0):
+        support = union[side != absent]
+        probs = rng.random(len(support))
+        sides.append(Distribution(width, support, probs / probs.sum()))
+    report = compare_runs(*sides)
+    assert len(report.diffs) == size
+    assert to_json_text(report) == reference_text(fidelity_payload(*map(keyed, sides)))

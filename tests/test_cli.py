@@ -172,6 +172,16 @@ class TestRun:
         assert out == ""
         assert "--noise-readout" in err and "--shots" in err
 
+    @pytest.mark.parametrize("shots", [2**62, 2**63 - 1, 2**63, 10**20])
+    def test_shots_beyond_numpy_refused(self, capsys, chain_spec_file, shots):
+        # Refused in sample_counts before any draw array is allocated.
+        code, out, err = run_cli(capsys, "run", "--spec", chain_spec_file(),
+                                 "--shots", str(shots), "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "shots" in err
+        assert "Traceback" not in err
+
     def test_env_capacity_beyond_numpy_refused(self, capsys, chain_spec_file, monkeypatch):
         # 2**64 amplitudes cannot be sized; refused before execute allocates.
         monkeypatch.setenv("QSIM_MAX_QUBITS", "64")

@@ -659,6 +659,15 @@ class TestSampleCounts:
         with pytest.raises(ValidationError):
             sample_counts(ZERO, 0, 1)
 
+    def test_shots_beyond_numpy_refused(self):
+        with pytest.raises(ValidationError, match="shots"):
+            sample_counts(ZERO, 2**63, 1)
+        # With readout noise the shots x n uniforms set the limit: 2**59 x 2
+        # float64 is 2**63 bytes, one byte past what numpy can size.
+        pair = execute(Circuit(2, [GateOp("H", (0,))]))
+        with pytest.raises(ValidationError, match="shots"):
+            sample_counts(pair, 2**59, 1, NoiseModel(0.0, 0.1))
+
     def test_seed_required(self):
         with pytest.raises(ValidationError):
             sample_counts(ZERO, 10, None)
