@@ -1,5 +1,5 @@
-"""Exact statevector engine: in-place H/X/U1/CNOT kernels run by ``execute``,
-and sampling.
+"""Exact statevector engine: ``execute`` runs H/X/U1/CNOT through one in-place
+kernel, a run of ops on at most two qubits at a time; and sampling.
 
 Basis index convention: the bit of qubit q0 is the most significant bit of
 the amplitude index, so ``format(index, f"0{n}b")`` is the time-ordered
@@ -8,11 +8,13 @@ bitstring (leftmost character = q0).
 Determinism: all randomness flows through numpy's PCG64 generator
 (``np.random.default_rng``) seeded with a caller-supplied integer, and draws
 happen in a fixed documented order, so noisy execution and sampling are
-byte-for-byte reproducible per seed.  Kernels touch disjoint amplitude pairs
-with no reductions, so results do not depend on BLAS thread counts.
+byte-for-byte reproducible per seed.  The kernel touches disjoint amplitude
+sets with no reductions, so results do not depend on BLAS thread counts.
 """
 
 import copy
+import functools
+import itertools
 import math
 import numbers
 import os
@@ -289,66 +291,73 @@ class Circuit:
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_CHUNK_ROWS = 1 << 14  # rows of 4 amplitudes (1 MiB) per chunk of a pair block
+_CHUNK = 1 << 16  # amplitudes (1 MiB) per chunk of a run
 
 
-def _hadamard(lower, upper, diff):
-    np.subtract(lower, upper, out=diff)
-    lower += upper
-    lower *= _INV_SQRT2
-    np.multiply(diff, _INV_SQRT2, out=upper)
+@functools.lru_cache(maxsize=1024)
+def _layout(width, qubits):
+    """How ``_block`` reads a run on ``qubits``, cached as runs repeat: the
+    prefix's shape, an axis per run qubit and per span of other qubits; the
+    order putting run axes first; a column's shape; and per chunk of at most
+    1 MiB, cut innermost axis first, each column's index, which drops the
+    chunk's size-1 axes (numpy loops over them more slowly)."""
+    edges = [-1, *qubits, width]
+    free = [1 << (hi - lo - 1) for lo, hi in zip(edges, edges[1:])]
+    room = _CHUNK >> len(qubits)
+    takes = [min(size, max(1, room // math.prod(free[i + 1 :]))) for i, size in enumerate(free)]
+    chunks = []
+    for starts in itertools.product(*map(range, [0] * len(free), free, takes)):
+        cut = [slice(s, s + t) if t > 1 else s for s, t in zip(starts, takes)]
+        chunks.append([(*c, *cut, ...) for c in itertools.product((0, 1), repeat=len(qubits))])
+    shape = [d for size in free for d in (size, 2)][:-1]
+    axes = [*range(1, len(shape), 2), *range(0, len(shape), 2)]
+    return shape, axes, [t for t in takes if t > 1], chunks
 
 
-def _apply(amps, op, scratch):
-    """The per-op kernel of one primitive on ``amps``, in place."""
-    view = amps.reshape(1 << op.qubits[-1], 2, -1)
-    src, dst = view[:, 0, :], view[:, 1, :]
-    if op.name == "CNOT":
-        lo, hi = sorted(op.qubits)
-        view = amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
-        src = view[:, 1, :, 0, :] if lo == op.qubits[0] else view[:, 0, :, 1, :]
-        dst = view[:, 1, :, 1, :]
-    held = scratch[: src.size].reshape(src.shape)
-    if op.name == "H":
-        _hadamard(src, dst, held)
-    elif op.name == "U1":
-        dst *= np.exp(1j * op.angle)
-    else:  # X or CNOT: swap the two parts the gate exchanges
-        np.copyto(held, src)
-        src[:] = dst
-        dst[:] = held
+def _block(state, width, ops):
+    """Run ``ops``, all on one or two qubits, on ``state`` chunk by chunk.
 
-
-def _pair_block(state, width, ops):
-    """Run ``ops`` on the two low qubits of ``state`` by chunks of (rows, 4).
-    Column ``where[c]`` holds the amplitudes whose low qubits read c: X and
-    CNOT only change ``where``; one gather per chunk moves it back to c."""
-    where, steps = [0, 1, 2, 3], []
+    Each value c of the run qubits (the lowest-numbered one is the high bit
+    of c) has a column; ``where[c]`` is the column holding the amplitudes
+    whose run qubits read c.  H and U1 run on the columns, X and CNOT only
+    change ``where``, and one gather per chunk puts each column in place.
+    """
+    qubits = tuple(sorted({q for op in ops for q in op.qubits}))
+    where, steps = list(range(1 << len(qubits))), []
     for op in ops:
-        *control, bit = [1 << (width - 1 - q) for q in op.qubits]
+        *control, flip = [1 << (len(qubits) - 1 - qubits.index(q)) for q in op.qubits]
         if op.name in ("X", "CNOT"):
             mask = sum(control)
-            where = [where[c ^ bit if c & mask == mask else c] for c in range(4)]
+            where = [where[c ^ flip if c & mask == mask else c] for c in range(len(where))]
         else:
             phase = None if op.name == "H" else np.exp(1j * op.angle)
-            steps.append((phase, [(where[c], where[c | bit]) for c in range(4) if not c & bit]))
-    rows = state.reshape(-1, 4)
-    diff = np.empty(min(len(rows), _CHUNK_ROWS), dtype=np.complex128)
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        columns = [rows[start : start + _CHUNK_ROWS, c] for c in range(4)]
+            pairs = [(where[c], where[c | flip]) for c in range(len(where)) if not c & flip]
+            steps.append((phase, pairs))
+    moved = [c for c in range(len(where)) if where[c] != c]
+    shape, axes, column, chunks = _layout(width, qubits)
+    view = state.reshape(shape).transpose(axes)
+    diff = np.empty(column, dtype=np.complex128)
+    held = np.empty([len(moved), *column], dtype=np.complex128)
+    for keys in chunks:
+        columns = [view[key] for key in keys]
         for phase, pairs in steps:
             for lower, upper in pairs:
-                if phase is None:
-                    _hadamard(columns[lower], columns[upper], diff)
+                if phase is None:  # H
+                    np.subtract(columns[lower], columns[upper], out=diff)
+                    columns[lower] += columns[upper]
+                    columns[lower] *= _INV_SQRT2
+                    np.multiply(diff, _INV_SQRT2, out=columns[upper])
                 else:
                     columns[upper] *= phase
-        if where != [0, 1, 2, 3]:
-            rows[start : start + _CHUNK_ROWS] = rows[start : start + _CHUNK_ROWS, where]
+        for j, c in enumerate(moved):
+            held[j] = columns[where[c]]
+        for j, c in enumerate(moved):
+            columns[c][...] = held[j]
 
 
 def _grow(amps, width, new_width):
     """Spread ``amps[: 1 << width]`` over ``new_width`` qubits in |0>, top chunk first."""
-    shift, step = new_width - width, min(1 << width, _CHUNK_ROWS)
+    shift, step = new_width - width, min(1 << width, _CHUNK // 4)
     for start in range((1 << width) - step, -1, -step):
         chunk = amps[start : start + step].copy()
         spread = amps[start << shift : (start + step) << shift]
@@ -385,28 +394,23 @@ def execute(
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0] = 1.0
     # Untouched qubits are |0>: ops run on the prefix of qubits 0..width-1.
-    width, scratch, ops, i = 0, np.empty(0, dtype=np.complex128), circuit.ops, 0
+    width, ops, i = 0, circuit.ops, 0
     while i < len(ops):
         if (top := max(ops[i].qubits) + 1) > width:
             _grow(amps, width, top)
             width = top
-        state = amps[: 1 << width]
-        # A pair block: 2+ ops in a row on the two lowest qubits, 2+ rows of 4.
-        end = i + 1
-        if width > 2 and {*ops[i].qubits} <= (pair := {width - 2, width - 1}):
-            while end < len(ops) and {*ops[end].qubits} <= pair:
-                end += 1
+        # A run: ops in a row on at most two live qubits.  While width <= 2
+        # it is one op, as a run on both qubits would have length-1 columns,
+        # on which numpy's complex multiply rounds differently.
+        qubits, end = {*ops[i].qubits}, i + 1
+        while (width > 2 and end < len(ops) and max(ops[end].qubits) < width
+               and len(qubits := qubits | {*ops[end].qubits}) <= 2):
+            end += 1
         run = ops[i:end]
         if rng is not None:  # each op, then an X on each qubit its gate noise flips
             xs = [[GateOp("X", (q,)) for q in op.qubits if rng.random() < flip_prob] for op in run]
             run = [x for op, flips in zip(run, xs) for x in (op, *flips)]
-        if end - i > 1:
-            _pair_block(state, width, run)
-        else:
-            if scratch.size < state.size // 2:
-                scratch = np.empty(state.size // 2, dtype=np.complex128)
-            for op in run:
-                _apply(state, op, scratch)
+        _block(amps[: 1 << width], width, run)
         i = end
     if width < n:
         _grow(amps, width, n)
@@ -427,10 +431,6 @@ class Counts(Distribution):
     def __init__(self, width: int, support: np.ndarray, tallies: np.ndarray, shots: int):
         super().__init__(width, support, tallies)
         self.shots = shots
-
-    def to_json_dict(self) -> dict:
-        """Serialized form: {"shots": int, "counts": {bitstring: int}}."""
-        return {"shots": self.shots, "counts": dict(zip(self, self.probs.tolist()))}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Counts":

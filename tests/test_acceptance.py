@@ -3,7 +3,6 @@
 Each test prints one pass/fail line (visible with ``pytest -s``).
 """
 
-import json
 import math
 import time
 from contextlib import contextmanager
@@ -33,6 +32,7 @@ from qmarkov import (
     sample_counts,
     solve_rotation_order,
     standard_gate,
+    to_json_text,
 )
 
 
@@ -173,9 +173,7 @@ def test_criterion_8_sampling_regime():
             fid = hellinger_fidelity(exact, counts_to_distribution(counts))
             assert fid >= 0.99
             again = sample_counts(state, 8192, seed)
-            assert json.dumps(counts.to_json_dict()) == json.dumps(
-                again.to_json_dict()
-            )
+            assert to_json_text(counts) == to_json_text(again)
 
 
 def test_criterion_9_noise_degradation():

@@ -28,7 +28,7 @@ from qmarkov import (
     sample_counts,
     standard_gate,
 )
-from qmarkov.analysis import counts_to_distribution
+from qmarkov.analysis import counts_to_distribution, to_json_text
 
 X = standard_gate("X")
 ZERO = Statevector(1, np.array([1.0, 0.0]))
@@ -374,8 +374,8 @@ class TestExecute:
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
 
 
-# The per-op kernels as they stood before the pair-block path, frozen here so
-# the full-width reference keeps that arithmetic whatever ``core`` becomes.
+# Per-op kernels on the full register, frozen here so the full-width
+# reference keeps this arithmetic whatever ``core`` becomes.
 def reference_u1(amps, angle, target):
     view = amps.reshape(1 << target, 2, -1)
     view[:, 1, :] *= np.exp(1j * angle)
@@ -462,9 +462,9 @@ def touching_in_order(rng, num_qubits, order):
 
 
 class TestGrowingPrefix:
-    """``execute`` runs the kernels only on the qubits touched so far, and
-    pair blocks chunk by chunk; the result must equal the full-width run bit
-    for bit."""
+    """``execute`` runs ops only on the qubits touched so far, in runs on one
+    or two qubits, chunk by chunk; the result must equal the full-width run
+    bit for bit."""
 
     NOISES = (None, NoiseModel(0.2, 0.0))
 
@@ -493,10 +493,25 @@ class TestGrowingPrefix:
             self.assert_same_as_full_width(compile_to_circuit(random_chain(rng, steps)))
 
     def test_compiled_chain_in_several_chunks(self):
-        # n = 18: the last pair block has 2**16 rows, four chunks.
-        assert (1 << 16) // core._CHUNK_ROWS == 4
+        # n = 18: the last run spans 2**18 amplitudes, four chunks.
+        assert (1 << 18) // core._CHUNK == 4
         chain = BinaryMarkovChain((0.3, 0.7), ((0.6, 0.4), (0.2, 0.8)), 18)
         self.assert_same_as_full_width(compile_to_circuit(chain), seeds=(5,))
+        # Runs on other pairs, after H on every qubit: four chunks each, cut
+        # across the inner axis (q1, q2), the middle one (q0, q17) and the
+        # outer one (q5, q6 and q8, q12).
+        ops = [GateOp("H", (q,)) for q in range(18)]
+        for a, b in ((1, 2), (0, 17), (5, 6), (8, 12)):
+            ops += [
+                GateOp("U1", (a,), 0.1 * b - 0.7),
+                GateOp("CNOT", (a, b)),
+                GateOp("H", (b,)),
+                GateOp("X", (a,)),
+                GateOp("U1", (b,), 2.3 - 0.2 * a),
+                GateOp("CNOT", (b, a)),
+                GateOp("H", (a,)),
+            ]
+        self.assert_same_as_full_width(Circuit(18, ops), seeds=(5,))
 
     def test_touch_orders(self):
         rng = np.random.default_rng(42)
@@ -518,33 +533,24 @@ class TestGrowingPrefix:
             self.assert_same_as_full_width(Circuit(num_qubits, []))
 
     def test_work_follows_touched_qubits(self, monkeypatch):
-        # (path, amplitudes) per op: the per-op kernels record one entry per
-        # call, the pair-block runner one per op of its run.
-        sizes = []
-        runs = []
+        runs = []  # (ops, amplitudes) per run
 
-        def record_op(amps, op, scratch, kernel=core._apply):
-            sizes.append(("op", amps.size))
-            kernel(amps, op, scratch)
+        def record(state, width, ops, kernel=core._block):
+            runs.append((len(ops), state.size))
+            kernel(state, width, ops)
 
-        def record_block(state, width, ops, runner=core._pair_block):
-            runs.append(len(ops))
-            sizes.extend([("block", state.size)] * len(ops))
-            runner(state, width, ops)
-
-        monkeypatch.setattr(core, "_apply", record_op)
-        monkeypatch.setattr(core, "_pair_block", record_block)
+        monkeypatch.setattr(core, "_block", record)
         chain = BinaryMarkovChain((0.3, 0.7), ((0.6, 0.4), (0.2, 0.8)), 12)
         execute(compile_to_circuit(chain))
         # The initial rotation acts on q0 alone; pair block t is 16 ops on
-        # q_t and q_t+1, the first of which is on q_t+1.  Block 0 (one row of
-        # four amplitudes) runs per op, every later block as one chunked run.
-        assert sizes[:3] == [("op", 2)] * 3
-        blocks = [sizes[3 + 16 * t : 3 + 16 * (t + 1)] for t in range(11)]
-        assert blocks == [[("op" if t == 0 else "block", 1 << (t + 2))] * 16 for t in range(11)]
-        assert runs == [16] * 10
+        # q_t and q_t+1, the first of which is on q_t+1.  Block 0 (four
+        # amplitudes, width 2) runs one op at a time, every later block as
+        # one run.
+        assert runs[:3] == [(1, 2)] * 3
+        assert runs[3:19] == [(1, 4)] * 16
+        assert runs[19:] == [(16, 1 << (t + 2)) for t in range(1, 11)]
         # Full width every op would be 16 * 11 * 2**12 + 3 * 2**12.
-        assert sum(size for _, size in sizes) == sum(16 << (t + 2) for t in range(11)) + 3 * 2
+        assert sum(ops * size for ops, size in runs) == sum(16 << (t + 2) for t in range(11)) + 3 * 2
 
     @staticmethod
     def traced_peak(run_it):
@@ -557,21 +563,41 @@ class TestGrowingPrefix:
 
     def test_peak_memory_is_state_plus_scratch(self):
         # H and U1 on each qubit in turn: one growth step per op pair, and
-        # kernels on the newest qubit, which copy nothing of size.
+        # runs on the newest qubit, which copy nothing of size.
         ops = [op for q in range(16) for op in (GateOp("H", (q,)), GateOp("U1", (q,), 0.3))]
         ladder = Circuit(16, ops)
         assert self.traced_peak(lambda: execute(ladder)) <= 1.5 * 16 * (1 << 16) + 64 * 1024
-        # On a compiled chain numpy also copies a kernel's source operand when
-        # it may overlap the destination (half a state for X on any qubit but
-        # q0), so the bound there is the full-width loop's own peak.
+        # On a compiled chain the bound is the full-width loop's own peak,
+        # which holds a half-state scratch.
         chain = BinaryMarkovChain((0.3, 0.7), ((0.6, 0.4), (0.2, 0.8)), 16)
         circuit = compile_to_circuit(chain)
         reference = self.traced_peak(lambda: full_width_execute(circuit))
         assert self.traced_peak(lambda: execute(circuit)) <= reference + 64 * 1024
 
+    @pytest.mark.parametrize(
+        "last",
+        [
+            GateOp("X", (0,)),
+            GateOp("X", (1,)),
+            GateOp("X", (8,)),
+            GateOp("CNOT", (0, 19)),
+            GateOp("CNOT", (8, 9)),
+            GateOp("H", (8,)),
+            GateOp("U1", (8,), 0.3),
+        ],
+        ids=["x0", "x1", "x8", "cnot0_19", "cnot8_9", "h8", "u1_8"],
+    )
+    def test_peak_memory_of_one_op_on_any_qubits(self, last):
+        # After H on every qubit of n = 20, one op on any qubits is a run of
+        # its own: only chunk-sized buffers sit beside the 16 MiB state, no
+        # half-state scratch and no state-sized copy of an overlapping operand.
+        circuit = Circuit(20, [*(GateOp("H", (q,)) for q in range(20)), last])
+        execute(circuit)
+        assert self.traced_peak(lambda: execute(circuit)) <= 16 * (1 << 20) + 2 * (1 << 20)
+
     def test_peak_memory_of_compiled_chain_is_state_alone(self):
-        # Growth spreads the prefix in place and pair blocks move no data for
-        # X and CNOT, so at n = 20 only chunk-sized buffers sit beside the
+        # Growth spreads the prefix in place and runs move no data for X
+        # and CNOT, so at n = 20 only chunk-sized buffers sit beside the
         # 16 MiB state.
         chain = BinaryMarkovChain((0.3, 0.7), ((0.6, 0.4), (0.2, 0.8)), 20)
         circuit = compile_to_circuit(chain)
@@ -620,9 +646,9 @@ class TestCounts:
 
     def test_json_round_trip(self):
         counts = Counts.from_json_dict({"shots": 8, "counts": {"01": 3, "10": 5}})
-        data = counts.to_json_dict()
+        data = json.loads(to_json_text(counts))
         assert data == {"shots": 8, "counts": {"01": 3, "10": 5}}
-        again = Counts.from_json_dict(json.loads(json.dumps(data)))
+        again = Counts.from_json_dict(data)
         assert dict(again) == dict(counts)
         assert again.shots == counts.shots
 
@@ -630,7 +656,7 @@ class TestCounts:
         counts = Counts.from_json_dict({"shots": 8, "counts": {"10": 5, "01": 3}})
         assert counts.probs.dtype == np.int64
         assert list(counts.support) == [1, 2]
-        data = counts.to_json_dict()
+        data = json.loads(to_json_text(counts))
         assert all(type(v) is int for v in data["counts"].values())
         assert type(data["shots"]) is int
 
@@ -691,7 +717,7 @@ class TestSampleCounts:
         a = sample_counts(state, 4096, 42, NoiseModel(0.0, 0.02))
         b = sample_counts(state, 4096, 42, NoiseModel(0.0, 0.02))
         assert dict(a) == dict(b)
-        assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+        assert to_json_text(a) == to_json_text(b)
 
     def test_sampling_consistency(self):
         # empirical vs exact fidelity at 8192 shots, five fixed seeds
