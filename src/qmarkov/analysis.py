@@ -1,12 +1,16 @@
 """Distribution utilities: counts normalization, the Hellinger metric with
-its fidelity complement, and run-comparison reports."""
+its fidelity complement, run-comparison reports, and the JSON text of
+results, written and read back as arrays."""
 
 import math
+import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Counts, Distribution, bitstring_bytes, counts_to_distribution
+from .core import MAX_KEY_BITS, Counts, Distribution, bitstring_bytes, counts_to_distribution
 from .errors import ValidationError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -156,3 +160,118 @@ def to_json_text(value) -> str:
         diffs = _distribution_text(value.diffs)
         return '{"distance": %.17g, "fidelity": %.17g, "diffs": %s}' % (*floats, diffs)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+_INT, _FLOAT = 9, 10  # states after a whole integer or float token
+
+
+def _number_automaton():
+    """The JSON number grammar as a table over byte classes, read one byte
+    column at a time; the NUL padding after a token leads to _INT or _FLOAT."""
+    classes = np.zeros(256, np.uint8)  # class 0: any other byte
+    for cls, chars in enumerate((b"-", b"0", b"123456789", b".", b"eE", b"+", b"\0"), 1):
+        classes[list(chars)] = cls
+    edges = (
+        {1: 1, 2: 2, 3: 3},  # start
+        {2: 2, 3: 3},  # after '-'
+        {4: 4, 5: 6, 7: _INT},  # a leading '0'
+        {2: 3, 3: 3, 4: 4, 5: 6, 7: _INT},  # integer digits
+        {2: 5, 3: 5},  # after '.'
+        {2: 5, 3: 5, 5: 6, 7: _FLOAT},  # fraction digits
+        {1: 7, 6: 7, 2: 8, 3: 8},  # after 'e'
+        {2: 8, 3: 8},  # after the exponent's sign
+        {2: 8, 3: 8, 7: _FLOAT},  # exponent digits
+        {7: _INT},  # _INT: only padding may follow
+        {7: _FLOAT},  # _FLOAT: only padding may follow
+    )
+    table = np.full((len(edges) + 1, 8), len(edges), np.uint8)  # last row: rejected
+    for state, row in enumerate(edges):
+        for cls, target in row.items():
+            table[state, cls] = target
+    return classes, table.ravel()
+
+
+_BYTE_CLASS, _NEXT_STATE = _number_automaton()
+_TALLY_BYTES = 18  # a tally token this short fits int64
+_ENVELOPE = re.compile(rb'\{"shots": (-?(?:0|[1-9][0-9]{0,17})), "counts": \{')
+_PREFIX = np.tri(_VALUE_BYTES + 1, _VALUE_BYTES, -1, np.uint8) * np.uint8(255)  # row k keeps k bytes
+_HASH = tuple(map(np.uint64, (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9)))
+
+
+def read_json_layout(path):
+    """A result file in exactly the layout ``to_json_text`` writes, read with
+    array operations; None for any other file.
+
+    The layout is ``{"<bits>": <number>, ...}``, entries joined by ``", "``,
+    or ``{"shots": <int>, "counts": {...}}`` around such a body, then
+    optional whitespace.  Keys have one width of 1-63 bits and strictly
+    increasing indices; each value token is a JSON number of at most 24
+    bytes, with a fraction or exponent in a probability map and at most 18
+    characters in counts.  Keys and tokens are gathered 2**16 entries at a time
+    through strided views, and identical tokens are grouped, so each
+    distinct one is checked and converted once.  Returns a ``Distribution``,
+    or ``{"shots": int, "counts": Distribution}`` of tallies, unchecked.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buf = np.zeros(size + _VALUE_BYTES, np.uint8)  # the zeros end every window
+        if not size or fh.readinto(buf[:size]) != size:
+            return None
+    tail = bytes(buf[max(size - 64, 0) : size])
+    end = size - len(tail) + len(tail.rstrip(b" \t\n\r"))
+    envelope = _ENVELOPE.match(bytes(buf[:64]))
+    lo, close = (envelope.end(), b"}}") if envelope else (1, b"}")
+    hi = end - len(close)
+    width = bytes(buf[lo + 1 : lo + 65]).find(b'"')
+    if (bytes(buf[lo - 1 : lo + 1]) != b'{"' or bytes(buf[hi:end]) != close
+            or not 1 <= width <= MAX_KEY_BITS):
+        return None
+    commas = lo + np.flatnonzero(buf[lo:hi] == ord(","))
+    starts = np.concatenate(([lo], commas + 2))
+    lengths = np.append(commas, hi) - starts - (width + 4)  # of each value token
+    if (buf[commas + 1] != ord(" ")).any() or not ((lengths > 0) & (lengths <= _VALUE_BYTES)).all():
+        return None
+
+    # Each record is '"' key '": ' and then the value token, which is cut at
+    # its length and NUL-padded.  Byte minus template is 0, or 0-1 in a key.
+    records = sliding_window_view(buf, width + 4 + _VALUE_BYTES)
+    template = np.frombuffer(b'"' + b"0" * width + b'": ', np.uint8)
+    limit = (template == ord("0")).view(np.uint8)
+    index = np.zeros(len(starts), np.int64)
+    tokens = np.empty((len(starts), _VALUE_BYTES), np.uint8)
+    for at in range(0, len(starts), _CHUNK):
+        chunk = slice(at, at + _CHUNK)
+        rec = records[starts[chunk]]
+        head = rec[:, : width + 4] - template
+        if (head > limit).any():
+            return None
+        part = index[chunk]
+        for column in head[:, 1 : width + 1].T:
+            part <<= 1
+            part |= column
+        tokens[chunk] = rec[:, width + 4 :]
+        tokens[chunk] &= _PREFIX[lengths[chunk]]
+    if not (index[1:] > index[:-1]).all():
+        return None
+
+    # Group identical tokens by a hash of their three 8-byte words, then
+    # check every token against its group's representative.
+    words = tokens.view(np.uint64)
+    groups, inverse = np.unique(words[:, 0] * _HASH[0] ^ words[:, 1] * _HASH[1]
+                                ^ words[:, 2] * _HASH[2], return_inverse=True)
+    rep = np.empty(len(groups), np.intp)
+    rep[inverse] = np.arange(len(inverse))
+    if any((words[:, k] != words[rep, k][inverse]).any() for k in range(3)):
+        return None
+    distinct = tokens[rep]
+    state = np.zeros(len(rep), np.uint8)
+    for column in (*distinct.T, 0):  # and one NUL after a full-width token
+        state = _NEXT_STATE[state * np.uint8(8) + _BYTE_CLASS[column]]
+    filled = np.count_nonzero(distinct, axis=1)  # a NUL in a token would pass as padding
+    kind, parse, dtype, longest = ((_INT, int, np.int64, _TALLY_BYTES) if envelope
+                                   else (_FLOAT, float, np.float64, _VALUE_BYTES))
+    if (state != kind).any() or (filled > longest).any() or (filled[inverse] != lengths).any():
+        return None
+    texts = distinct.view(f"S{_VALUE_BYTES}").ravel().tolist()
+    dist = Distribution(width, index, np.array(list(map(parse, texts)), dtype)[inverse])
+    return {"shots": int(envelope[1]), "counts": dist} if envelope else dist

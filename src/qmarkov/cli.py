@@ -5,12 +5,12 @@ out of memory.
 """
 
 import argparse
-import json
+import functools
 import sys
 
 import numpy as np
 
-from .analysis import compare_runs, to_json_text, validate_distribution
+from .analysis import compare_runs, read_json_layout, to_json_text, validate_distribution
 from .core import Counts, NoiseModel, execute, probabilities, sample_counts
 from .errors import CapacityError, ValidationError
 from .gates import (
@@ -22,7 +22,7 @@ from .gates import (
     nth_root_x_sequence,
     solve_rotation_order,
 )
-from .markov import compile_to_circuit, enumerate_paths, load_chain
+from .markov import compile_to_circuit, enumerate_paths, load_chain, read_json
 
 DEFAULT_SHOTS = 8192
 GATE_CHECK_TOL = 1e-12
@@ -141,15 +141,18 @@ def cmd_oracle(args) -> int:
 
 
 def _load_result(path):
-    """Parse a result file: a counts object or a bitstring->probability map."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-    if data.keys() == {"shots", "counts"}:
+    """Parse a result file: a counts object or a bitstring->probability map.
+
+    A file in the layout ``to_json_text`` writes is read as arrays; any other
+    goes through ``json.load``.  Both then take the same checks, so they give
+    the same arrays and the same errors.
+    """
+    data = read_json_layout(path)
+    if data is None:
+        data = read_json(path)
+        if not isinstance(data, dict):
+            raise ValidationError(f"{path}: expected a JSON object")
+    if isinstance(data, dict) and data.keys() == {"shots", "counts"}:
         return Counts.from_json_dict(data)
     return validate_distribution(data, str(path))
 
@@ -186,8 +189,13 @@ def cmd_gate_check(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CapacityError as exc:

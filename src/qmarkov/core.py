@@ -77,14 +77,19 @@ def parse_bitstring_map(mapping, what: str, integral: bool = False):
 
     Keys must be non-empty binary strings of one width, at most 63 bits (the
     int64 basis index); values finite, non-negative numbers (ints within the
-    int64 range when ``integral``), never bools.  Returns ``(width, index,
-    values, total)``: each entry's basis index and value (int64 when
-    ``integral``, else float64) in mapping order, and the plain sequential
-    ``sum`` of the values in that order.  An empty map has width 0.
+    int64 range when ``integral``), never bools.  A ``Distribution`` is such
+    a map in array form, its keys valid by construction, so only its values
+    are checked.  Returns ``(width, index, values, total)``: each entry's
+    basis index and value (int64 when ``integral``, else float64) in mapping
+    order, and the plain sequential ``sum`` of the values in that order.  An
+    empty map has width 0.
     """
+    dtype = np.dtype(np.int64 if integral else np.float64)
+    if isinstance(mapping, Distribution):
+        return (mapping.width, mapping.support,
+                *_checked_values(mapping.probs, mapping.width, mapping.support, what, dtype))
     keys = list(mapping)
     raw = list(mapping.values())
-    dtype = np.dtype(np.int64 if integral else np.float64)
     if not keys:
         return 0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype), 0
     try:
@@ -114,15 +119,22 @@ def parse_bitstring_map(mapping, what: str, integral: bool = False):
     if not all(issubclass(t, kind) and not issubclass(t, bool) for t in set(map(type, raw))):
         key = next(k for k, v in zip(keys, raw) if not isinstance(v, kind) or isinstance(v, bool))
         raise ValidationError(f"{what} has a non-numeric value for {key!r}")
+    return width, index, *_checked_values(raw, width, index, what, dtype)
+
+
+def _checked_values(raw, width: int, index: np.ndarray, what: str, dtype: np.dtype):
+    """``raw`` (a list of numbers or an array, in mapping order) as a
+    ``dtype`` array of finite, non-negative values, and its sequential
+    ``sum``; errors name the bitstring of the first bad entry."""
     try:
-        values = np.array(raw, dtype=dtype)
+        values = np.asarray(raw, dtype=dtype)
     except OverflowError:
         raise ValidationError(f"{what} has an int beyond the {dtype} range") from None
     bad = ~(np.isfinite(values) & (values >= 0))
     if bad.any():
-        key = keys[int(np.argmax(bad))]
+        key = bitstring_bytes(index[bad][:1], width)[0].decode("ascii")
         raise ValidationError(f"{what} has a negative or non-finite value for {key!r}")
-    return width, index, values, sum(raw)
+    return values, sum(raw if isinstance(raw, list) else raw.tolist())
 
 
 class Distribution(Mapping):
@@ -162,10 +174,10 @@ class Distribution(Mapping):
         arrays = isinstance(mapping, Distribution)
         if arrays and not normalized:
             return mapping
-        if arrays and np.isfinite(mapping.probs).all() and (mapping.probs >= 0).all():
-            dist, total = mapping, sum(mapping.probs.tolist())
-        else:  # parse, which also names the first bad value of a Distribution
-            width, index, values, total = parse_bitstring_map(mapping, what)
+        width, index, values, total = parse_bitstring_map(mapping, what)
+        if arrays:
+            dist = mapping
+        else:
             order = np.argsort(index, kind="stable")
             dist = cls(width, index[order], values[order])
         if normalized:
@@ -434,13 +446,16 @@ class Counts(Distribution):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Counts":
+        """Check a parsed counts object.  Its ``counts`` may also be the
+        ``Distribution`` of tallies that the result-file reader builds
+        straight from the text."""
         if not isinstance(data, dict) or set(data) != {"shots", "counts"}:
             raise ValidationError("counts JSON needs exactly the keys 'shots' and 'counts'")
         shots = data["shots"]
         raw = data["counts"]
         if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
             raise ValidationError("'shots' must be a positive integer")
-        if not isinstance(raw, dict):
+        if not isinstance(raw, Mapping):
             raise ValidationError("'counts' must be an object")
         width, index, tallies, total = parse_bitstring_map(raw, "counts", integral=True)
         if total != shots:
@@ -477,10 +492,16 @@ def sample_counts(
     # and, with readout noise, the shots x n float64 uniforms.
     if int(shots) * 8 * (n if flip_prob > 0.0 else 1) > np.iinfo(np.intp).max:
         raise ValidationError(f"shots={shots} is too many: numpy cannot size the draw arrays")
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
+    # Generator.choice's own algorithm for p=, run in one buffer: the CDF of
+    # the normalized probabilities, scaled to end at 1, searched with one
+    # uniform per shot.  Same draws, same generator state afterwards.
+    cdf = np.abs(state.amplitudes)
+    cdf *= cdf
+    cdf /= cdf.sum()
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
     rng = np.random.default_rng(rng_seed)
-    outcomes = rng.choice(probs.size, size=shots, p=probs)
+    outcomes = cdf.searchsorted(rng.random(shots), side="right")
     if flip_prob > 0.0:
         flips = rng.random((shots, n)) < flip_prob
         weights = 1 << np.arange(n - 1, -1, -1)  # q0 is the MSB

@@ -106,14 +106,19 @@ def chain_from_dict(data: dict) -> BinaryMarkovChain:
     return BinaryMarkovChain((p0, 1.0 - p0), rows, steps)
 
 
-def load_chain(path) -> BinaryMarkovChain:
-    """Read a chain spec JSON file (see ``chain_from_dict`` for the layout)."""
+def read_json(path):
+    """Parse a UTF-8 JSON file.  Text that is not UTF-8, not JSON, or nested
+    deeper than the recursion limit raises ``ValidationError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # ValueError covers JSON and UTF-8 errors
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    return chain_from_dict(data)
+
+
+def load_chain(path) -> BinaryMarkovChain:
+    """Read a chain spec JSON file (see ``chain_from_dict`` for the layout)."""
+    return chain_from_dict(read_json(path))
 
 
 def compile_to_circuit(

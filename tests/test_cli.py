@@ -8,7 +8,7 @@ import sys
 import pytest
 from conftest import assert_dist_close
 
-from qmarkov import core
+from qmarkov import cli, core
 from qmarkov.cli import main
 
 
@@ -341,6 +341,44 @@ class TestFidelity:
         assert code == 2
         assert out == ""
         assert "int64" in err
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8, nests deeper than the recursion limit or
+    holds an int longer than Python converts is a validation error, for
+    result files and spec files alike."""
+
+    BAD = {
+        "not_utf8": b'{"0": 1.0, "1": "\xff"}',
+        "bom_utf16": '{"0": 1.0}'.encode("utf-16"),
+        "too_deep": b"[" * 100_000 + b"]" * 100_000,
+        "int_too_long": b'{"steps": ' + b"1" * 5000 + b"}",
+    }
+
+    @pytest.mark.parametrize("problem", sorted(BAD))
+    @pytest.mark.parametrize("command", ["fidelity", "compile", "run", "oracle"])
+    def test_exit_2(self, capsys, tmp_path, problem, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(self.BAD[problem])
+        argv = [str(path), str(path)] if command == "fidelity" else ["--spec", str(path)]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: not valid JSON: ")
+        assert "Traceback" not in err
+
+
+class TestParser:
+    def test_built_once(self, capsys, chain_spec_file, monkeypatch):
+        spec = chain_spec_file()
+        assert run_cli(capsys, "compile", "--spec", spec)[0] == 0
+
+        def rebuild():
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(cli, "build_parser", rebuild)
+        assert run_cli(capsys, "oracle", "--spec", spec)[0] == 0
+        assert run_cli(capsys, "compile", "--spec", spec)[0] == 0
 
 
 class TestParseCount:

@@ -719,6 +719,49 @@ class TestSampleCounts:
         assert dict(a) == dict(b)
         assert to_json_text(a) == to_json_text(b)
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_draws_match_generator_choice(self, sparse):
+        # sample_counts runs Generator.choice's algorithm for p= in one
+        # buffer; a numpy release that changes choice would break the
+        # per-seed determinism contract, so compare draws and generator state.
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            state = random_state(rng, n)
+            if sparse:
+                amps = state.amplitudes * (rng.random(1 << n) < 0.1)
+                amps[int(rng.integers(1 << n))] = 1.0
+                state = Statevector(n, amps / np.linalg.norm(amps))
+            seed = int(rng.integers(2**63))
+            shots = int(rng.integers(1, 3000))
+            probs = np.abs(state.amplitudes) ** 2
+            want_rng = np.random.default_rng(seed)
+            drawn = want_rng.choice(probs.size, size=shots, p=probs / probs.sum())
+            index, tallies = np.unique(drawn, return_counts=True)
+            counts = sample_counts(state, shots, seed)
+            assert np.array_equal(counts.support, index)
+            assert np.array_equal(counts.probs, tallies)
+            # The readout uniforms come next from the same generator state.
+            flips = want_rng.random((shots, n)) < 0.5
+            index, tallies = np.unique(drawn ^ (flips @ (1 << np.arange(n - 1, -1, -1))),
+                                       return_counts=True)
+            noisy = sample_counts(state, shots, seed, NoiseModel(0.0, 0.5))
+            assert np.array_equal(noisy.support, index)
+            assert np.array_equal(noisy.probs, tallies)
+
+    def test_peak_memory_one_float_vector(self):
+        # Beside the state, sampling holds one 2**n float64 CDF (8 MiB at
+        # n = 20) and the per-shot arrays.
+        n = 20
+        state = Statevector(n, np.full(1 << n, 2.0 ** (-n / 2), dtype=complex))
+        tracemalloc.start()
+        try:
+            sample_counts(state, 8192, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8 << n) + (1 << 20)
+
     def test_sampling_consistency(self):
         # empirical vs exact fidelity at 8192 shots, five fixed seeds
         state = execute(Circuit(2, [GateOp("H", (0,)), GateOp("CNOT", (0, 1))]))

@@ -1,0 +1,229 @@
+"""Reading result files: the array reader of ``to_json_text``'s layout and the
+``json.load`` path give the same arrays, totals and errors for every file."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from qmarkov import Counts, Distribution, analysis, cli, core
+from qmarkov.analysis import _CHUNK, read_json_layout, to_json_text
+from qmarkov.errors import CapacityError, ValidationError
+
+
+def outcome(path, monkeypatch, array_path: bool):
+    """What ``_load_result`` makes of ``path``: the result's arrays and the
+    ``(width, index, values, total)`` of every validation, or the error."""
+    seen = []
+    validate = core.parse_bitstring_map
+
+    def spy(mapping, what, *args, **kwargs):
+        width, index, values, total = validate(mapping, what, *args, **kwargs)
+        seen.append((what, width, index.tolist(), values.dtype.str, values.tobytes(),
+                     type(total).__name__, repr(total)))
+        return width, index, values, total
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "parse_bitstring_map", spy)
+        if not array_path:
+            patch.setattr(cli, "read_json_layout", lambda path: None)
+        try:
+            result = cli._load_result(path)
+        except (ValidationError, CapacityError) as exc:
+            return type(exc).__name__, str(exc)
+    return (type(result).__name__, result.width, result.support.tolist(), result.probs.dtype.str,
+            result.probs.tobytes(), getattr(result, "shots", None), seen)
+
+
+def assert_paths_agree(tmp_path, monkeypatch, text, accepted=None):
+    path = tmp_path / "result.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    if accepted is not None:
+        assert (read_json_layout(path) is not None) == accepted
+    assert outcome(path, monkeypatch, True) == outcome(path, monkeypatch, False)
+
+
+widths = st.integers(1, 12) | st.sampled_from([20, 40, 63])
+floats = (st.floats(0.0, 1.0) | st.floats(-1.0, 1e300) | st.sampled_from([5e-324, 1e-300, -0.0])
+          | st.floats(min_value=0.0, allow_infinity=False).map(lambda x: x / 3))
+tallies = st.integers(0, 10**6) | st.integers(-5, 2**63 - 1)
+
+
+@st.composite
+def supports(draw, max_size=40):
+    width = draw(widths)
+    keys = draw(st.lists(st.integers(0, 2**width - 1), min_size=1, max_size=max_size, unique=True))
+    return width, np.array(sorted(keys), dtype=np.int64)
+
+
+@st.composite
+def distributions(draw):
+    width, support = draw(supports())
+    probs = np.array(draw(st.lists(floats, min_size=len(support), max_size=len(support))))
+    with np.errstate(over="ignore"):
+        total = probs.sum()
+    if draw(st.booleans()) and 0 < total < np.inf and (probs >= 0).all():
+        probs = probs / total  # mostly passes the sum check
+    return Distribution(width, support, probs)
+
+
+@st.composite
+def counts(draw):
+    width, support = draw(supports())
+    values = np.array(draw(st.lists(tallies, min_size=len(support), max_size=len(support))))
+    shots = sum(values.tolist()) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    return Counts(width, support, values, shots)
+
+
+def keyed(dist) -> list:
+    return [[format(int(k), f"0{dist.width}b"), v] for k, v in zip(dist.support, dist.probs.tolist())]
+
+
+@given(st.one_of(distributions(), counts()))
+@example(Distribution(1, np.array([0, 1]), np.array([0.25, 0.75])))
+@example(Counts(2, np.array([0, 3]), np.array([2, 6]), 8))
+@example(Distribution(63, np.array([0, 2**63 - 1]), np.array([0.5, 0.5])))
+@example(Distribution(1, np.array([1]), np.array([-2.2250738585072014e-308])))  # 24 bytes
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_canonical_text(tmp_path, monkeypatch, result):
+    # Every file to_json_text writes is read as arrays; ints in a
+    # probability map ("1", "0", "-0") are left to json.load.
+    # Tallies and shots of more than 18 digits are left to it too.
+    text = to_json_text(result) + "\n"
+    if isinstance(result, Counts):
+        accepted = all(len(str(v)) <= 18 for v in [abs(result.shots), *result.probs.tolist()])
+    else:
+        accepted = all(set(format(v, ".17g")) & set(".e") for v in result.probs.tolist())
+    assert_paths_agree(tmp_path, monkeypatch, text, accepted=accepted)
+
+
+@given(st.one_of(distributions(), counts()), st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_json_dumps_variants(tmp_path, monkeypatch, result, data):
+    # Other separators, indentation, key order, repeated keys and tokens
+    # outside to_json_text's output (repr floats, ints in a probability map).
+    entries = keyed(result)
+    if not isinstance(result, Counts) and data.draw(st.booleans()):
+        entries = [[k, int(v)] if float(v).is_integer() else [k, v] for k, v in entries]
+    entries = data.draw(st.permutations(entries)) if data.draw(st.booleans()) else entries
+    if data.draw(st.booleans()):
+        entries = entries + [data.draw(st.sampled_from(entries))]
+    body = "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in entries) + "}"
+    if data.draw(st.booleans()):
+        body = json.dumps(dict(entries), indent=data.draw(st.sampled_from([None, 0, 1, 2])),
+                          separators=data.draw(st.sampled_from([None, (",", ":"), (", ", ": ")])),
+                          sort_keys=data.draw(st.booleans()))
+    if isinstance(result, Counts):
+        body = '{"shots": %d, "counts": %s}' % (result.shots, body)
+    assert_paths_agree(tmp_path, monkeypatch, body + data.draw(st.sampled_from(["", "\n", " \r\n\t"])))
+
+
+TOKENS = ["1E-5", "1e-5", "1e999", "-1e999", "-0.0", "0.0", "0", "1", "-0", "01", "1.", ".5",
+          "+1.0", "1.0e+2", "1.0E-02", "NaN", "Infinity", "0x1", "1_0", "0.1" + "0" * 30,
+          "01.5", '"0.5"', "true", "null", "0.5\0", "0.\x005", "１.0"]
+JUNK = ["", "\n", "x", "}", ",", " ", "﻿", "\0"]
+
+
+@given(st.lists(st.sampled_from(TOKENS) | floats.map(repr), min_size=1, max_size=6),
+       st.sampled_from(["", "﻿", " ", "\n"]), st.sampled_from(JUNK),
+       st.sampled_from([None, -1, 0, 1, 7]))
+@example(["1E-5", "0.99999"], "", "", None)
+@example(["1e999"], "", "\n", None)
+@example(["-0.0", "1.0"], "", "", None)
+@example(["0.5\0", "0.5"], "", "", None)
+@example(["3", "5"], "", "", 8)
+@example(["-3", "11"], "", "", 8)
+@example(["3", "9" * 19], "", "", 8)
+@example(["01", "1"], "", "", 2)
+@example(["01.5", "0.5"], "", "", None)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_odd_tokens_and_junk(tmp_path, monkeypatch, tokens, head, tail, shots):
+    width = max(len(tokens) - 1, 0).bit_length() or 1
+    body = "{" + ", ".join(f'"{i:0{width}b}": {t}' for i, t in enumerate(tokens)) + "}"
+    if shots is not None:
+        body = '{"shots": %d, "counts": %s}' % (shots, body)
+    assert_paths_agree(tmp_path, monkeypatch, head + body + tail)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"0": 0.5, "0": 0.5}',  # repeated key
+        '{"1": 0.5, "0": 0.5}',  # unsorted keys
+        '{"0": 0.5, "01": 0.5}',  # mixed widths
+        '{"0": 0.5,"1": 0.5}',
+        '{"0": 0.5,x"1": 0.5}',
+        '{"0": 0.5,\n"1": 0.5}',
+        '{"0": 0.5, "1": 0.5]',
+        '{"shots": 2, "counts": {"0": 1, "1": 1}]',
+        '{"0":0.5, "1": 0.5}',
+        '{ "0": 0.5, "1": 0.5}',
+        '{"0": 0.5, "1": 0.5} ',
+        '{"0": 0.5, "1": 0.5}\n\n',
+        '{"2": 0.5, "1": 0.5}',
+        '{"' + "1" * 64 + '": 1.0}',
+        '{"' + "1" * 63 + '": 1.0}',
+        '{"": 1.0}',
+        "{}",
+        '{"shots": 0, "counts": {"0": 0}}',
+        '{"shots": -2, "counts": {"0": 1, "1": 1}}',
+        '{"shots": 3, "counts": {"0": 1, "1": 1}}',
+        '{"shots": 2, "counts": {"0": 1, "1": 1.0}}',
+        '{"shots": 2, "counts": {}}',
+        '{"shots": 02, "counts": {"0": 1, "1": 1}}',
+        '{"counts": {"0": 1, "1": 1}, "shots": 2}',
+        '{"shots": 9223372036854775808, "counts": {"0": 9223372036854775807, "1": 1}}',
+        '{"shots": 2, "counts": {"0": 1, "1": 1}, "x": 1}',
+        '{"shots": 2, "counts": {"0": 1, "1": 1}}}',
+        '{"0": 0.5, "1": -0.5}',
+        '{"0": 0.25, "1": 0.25}',
+        '{"0": 0.5, "1": 0.5}x',
+        '[0.5, 0.5]',
+        "",
+    ],
+)
+def test_layout_edges(tmp_path, monkeypatch, text):
+    assert_paths_agree(tmp_path, monkeypatch, text)
+
+
+@pytest.mark.parametrize("entries", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("kind", ["distribution", "counts"])
+def test_chunk_edges(tmp_path, monkeypatch, entries, kind):
+    rng = np.random.default_rng(entries)
+    support = np.sort(rng.choice(1 << 18, entries, replace=False))
+    if kind == "counts":
+        tallies = rng.integers(1, 1000, entries)
+        result = Counts(18, support, tallies, int(tallies.sum()))
+    else:
+        probs = rng.random(entries) ** 4 + 1e-9
+        result = Distribution(18, support, probs / probs.sum())
+    assert_paths_agree(tmp_path, monkeypatch, to_json_text(result) + "\n", accepted=True)
+
+
+def test_canonical_file_never_falls_back(tmp_path, monkeypatch, capsys):
+    dist = Distribution(3, np.arange(8), np.full(8, 0.125))
+    counts = Counts(3, np.array([1, 6]), np.array([3, 5]), 8)
+    for name, result in (("d.json", dist), ("c.json", counts)):
+        (tmp_path / name).write_text(to_json_text(result) + "\n", encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.load on a file in the layout")
+
+    monkeypatch.setattr(json, "load", refuse)
+    assert cli.main(["fidelity", str(tmp_path / "d.json"), str(tmp_path / "c.json")]) == 0
+    report = capsys.readouterr().out
+    monkeypatch.undo()
+    assert json.loads(report)["diffs"]["001"] == 0.25
+
+
+def test_hash_collisions_fall_back(tmp_path, monkeypatch):
+    # Tokens are grouped by hash and then compared byte for byte, so a hash
+    # that maps every token to one group sends the file to json.load.
+    dist = Distribution(2, np.arange(4), np.array([0.125, 0.375, 0.125, 0.375]))
+    text = to_json_text(dist) + "\n"
+    monkeypatch.setattr(analysis, "_HASH", (np.uint64(0),) * 3)
+    assert_paths_agree(tmp_path, monkeypatch, text, accepted=False)
+    same = Distribution(2, np.arange(4), np.full(4, 0.25))
+    assert_paths_agree(tmp_path, monkeypatch, to_json_text(same), accepted=True)
