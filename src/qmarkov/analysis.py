@@ -2,6 +2,7 @@
 its fidelity complement, run-comparison reports, and the JSON text of
 results, written and read back as arrays."""
 
+import json
 import math
 import os
 import re
@@ -10,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import MAX_KEY_BITS, Counts, Distribution, bitstring_bytes, counts_to_distribution
+from .core import (MAX_KEY_BITS, Counts, Distribution, bits_index, bitstring_bytes,
+                   counts_to_distribution)
 from .errors import ValidationError
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+from .gates import _INV_SQRT2
 
 
 def validate_distribution(dist, what: str = "distribution") -> Distribution:
@@ -103,6 +104,11 @@ _CHUNK = 1 << 16  # entries per record matrix of _distribution_text
 _VALUE_BYTES = 24  # every %.17g float and %d int64 fits, e.g. -2.2250738585072014e-308
 
 
+def _record_head(width: int) -> np.ndarray:
+    """The record head '"' key '": ' as bytes, its key ``width`` zeros."""
+    return np.frombuffer(b'"' + b"0" * width + b'": ', np.uint8)
+
+
 def _distribution_text(dist: Distribution) -> str:
     """``{"key": value, ...}`` over the support, built without a Python
     object per entry: each distinct value is formatted once, and each chunk
@@ -119,12 +125,11 @@ def _distribution_text(dist: Distribution) -> str:
     fmt = b"%-24d" if integral else b"%-24.17g"
     padded = (fmt * len(uniq)) % tuple(uniq.view(probs.dtype).tolist())
     table = np.frombuffer(padded.replace(b" ", b"\0"), np.uint8).reshape(-1, _VALUE_BYTES)
-    # Record layout: '"' key '": ' value ', ', the value NUL-padded.
+    # Record layout: head, value NUL-padded, ', '.
     key_bytes = max(dist.width, 1)  # bitstring_bytes gives S1 at width 0
     value_at = key_bytes + 4
     records = np.empty((min(len(probs), _CHUNK), value_at + _VALUE_BYTES + 2), np.uint8)
-    records[:, 0] = ord('"')
-    records[:, value_at - 3 : value_at] = np.frombuffer(b'": ', np.uint8)
+    records[:, :value_at] = _record_head(key_bytes)
     records[:, -2:] = np.frombuffer(b", ", np.uint8)
     pieces = ["{"]
     for start in range(0, len(probs), _CHUNK):
@@ -162,36 +167,9 @@ def to_json_text(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-_INT, _FLOAT = 9, 10  # states after a whole integer or float token
-
-
-def _number_automaton():
-    """The JSON number grammar as a table over byte classes, read one byte
-    column at a time; the NUL padding after a token leads to _INT or _FLOAT."""
-    classes = np.zeros(256, np.uint8)  # class 0: any other byte
-    for cls, chars in enumerate((b"-", b"0", b"123456789", b".", b"eE", b"+", b"\0"), 1):
-        classes[list(chars)] = cls
-    edges = (
-        {1: 1, 2: 2, 3: 3},  # start
-        {2: 2, 3: 3},  # after '-'
-        {4: 4, 5: 6, 7: _INT},  # a leading '0'
-        {2: 3, 3: 3, 4: 4, 5: 6, 7: _INT},  # integer digits
-        {2: 5, 3: 5},  # after '.'
-        {2: 5, 3: 5, 5: 6, 7: _FLOAT},  # fraction digits
-        {1: 7, 6: 7, 2: 8, 3: 8},  # after 'e'
-        {2: 8, 3: 8},  # after the exponent's sign
-        {2: 8, 3: 8, 7: _FLOAT},  # exponent digits
-        {7: _INT},  # _INT: only padding may follow
-        {7: _FLOAT},  # _FLOAT: only padding may follow
-    )
-    table = np.full((len(edges) + 1, 8), len(edges), np.uint8)  # last row: rejected
-    for state, row in enumerate(edges):
-        for cls, target in row.items():
-            table[state, cls] = target
-    return classes, table.ravel()
-
-
-_BYTE_CLASS, _NEXT_STATE = _number_automaton()
+_NUMBER_BYTES = np.zeros(256, np.uint8)  # 0: a byte no number token holds
+_NUMBER_BYTES[list(b"-+0123456789\0")] = 1  # NUL: the padding
+_NUMBER_BYTES[list(b".eE")] = 2  # json.loads makes a float of a token with one of them
 _TALLY_BYTES = 18  # a tally token this short fits int64
 _ENVELOPE = re.compile(rb'\{"shots": (-?(?:0|[1-9][0-9]{0,17})), "counts": \{')
 _PREFIX = np.tri(_VALUE_BYTES + 1, _VALUE_BYTES, -1, np.uint8) * np.uint8(255)  # row k keeps k bytes
@@ -208,18 +186,23 @@ def read_json_layout(path):
     increasing indices; each value token is a JSON number of at most 24
     bytes, with a fraction or exponent in a probability map and at most 18
     characters in counts.  Keys and tokens are gathered 2**16 entries at a time
-    through strided views, and identical tokens are grouped, so each
-    distinct one is checked and converted once.  Returns a ``Distribution``,
-    or ``{"shots": int, "counts": Distribution}`` of tallies, unchecked.
+    through strided views, and identical tokens are grouped: each distinct one
+    is checked by byte once, and one ``json.loads`` converts them all.
+    Returns a ``Distribution``, or ``{"shots": int, "counts": Distribution}``
+    of tallies, unchecked.
     """
     with open(path, "rb") as fh:
+        first = fh.read(64)
+        if not first.startswith(b'{"'):  # before sizing a buffer for the whole file
+            return None
         size = os.fstat(fh.fileno()).st_size
         buf = np.zeros(size + _VALUE_BYTES, np.uint8)  # the zeros end every window
-        if not size or fh.readinto(buf[:size]) != size:
+        fh.seek(0)
+        if fh.readinto(buf[:size]) != size:
             return None
     tail = bytes(buf[max(size - 64, 0) : size])
     end = size - len(tail) + len(tail.rstrip(b" \t\n\r"))
-    envelope = _ENVELOPE.match(bytes(buf[:64]))
+    envelope = _ENVELOPE.match(first)
     lo, close = (envelope.end(), b"}}") if envelope else (1, b"}")
     hi = end - len(close)
     width = bytes(buf[lo + 1 : lo + 65]).find(b'"')
@@ -232,12 +215,12 @@ def read_json_layout(path):
     if (buf[commas + 1] != ord(" ")).any() or not ((lengths > 0) & (lengths <= _VALUE_BYTES)).all():
         return None
 
-    # Each record is '"' key '": ' and then the value token, which is cut at
-    # its length and NUL-padded.  Byte minus template is 0, or 0-1 in a key.
+    # Each record is the head and then the value token, which is cut at its
+    # length and NUL-padded.  Byte minus head is 0, or 0-1 in a key.
     records = sliding_window_view(buf, width + 4 + _VALUE_BYTES)
-    template = np.frombuffer(b'"' + b"0" * width + b'": ', np.uint8)
+    template = _record_head(width)
     limit = (template == ord("0")).view(np.uint8)
-    index = np.zeros(len(starts), np.int64)
+    index = np.empty(len(starts), np.int64)
     tokens = np.empty((len(starts), _VALUE_BYTES), np.uint8)
     for at in range(0, len(starts), _CHUNK):
         chunk = slice(at, at + _CHUNK)
@@ -245,10 +228,7 @@ def read_json_layout(path):
         head = rec[:, : width + 4] - template
         if (head > limit).any():
             return None
-        part = index[chunk]
-        for column in head[:, 1 : width + 1].T:
-            part <<= 1
-            part |= column
+        index[chunk] = bits_index(head[:, 1 : width + 1])
         tokens[chunk] = rec[:, width + 4 :]
         tokens[chunk] &= _PREFIX[lengths[chunk]]
     if not (index[1:] > index[:-1]).all():
@@ -264,14 +244,16 @@ def read_json_layout(path):
     if any((words[:, k] != words[rep, k][inverse]).any() for k in range(3)):
         return None
     distinct = tokens[rep]
-    state = np.zeros(len(rep), np.uint8)
-    for column in (*distinct.T, 0):  # and one NUL after a full-width token
-        state = _NEXT_STATE[state * np.uint8(8) + _BYTE_CLASS[column]]
     filled = np.count_nonzero(distinct, axis=1)  # a NUL in a token would pass as padding
-    kind, parse, dtype, longest = ((_INT, int, np.int64, _TALLY_BYTES) if envelope
-                                   else (_FLOAT, float, np.float64, _VALUE_BYTES))
-    if (state != kind).any() or (filled > longest).any() or (filled[inverse] != lengths).any():
+    dtype, longest = (np.int64, _TALLY_BYTES) if envelope else (np.float64, _VALUE_BYTES)
+    kind = _NUMBER_BYTES[distinct]
+    if ((kind == 0).any() or ((kind == 2).any(axis=1) == bool(envelope)).any()
+            or (filled > longest).any() or (filled[inverse] != lengths).any()):
         return None
-    texts = distinct.view(f"S{_VALUE_BYTES}").ravel().tolist()
-    dist = Distribution(width, index, np.array(list(map(parse, texts)), dtype)[inverse])
+    listed = np.insert(distinct, 0, ord(","), axis=1)  # ",token" rows; the mask drops the padding
+    try:
+        values = json.loads(b"[%s]" % listed[listed != 0].tobytes()[1:])
+    except ValueError:
+        return None
+    dist = Distribution(width, index, np.array(values, dtype)[inverse])
     return {"shots": int(envelope[1]), "counts": dist} if envelope else dist

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .gates import GateOp
+from .gates import _INV_SQRT2, GateOp
 
 DEFAULT_MAX_QUBITS = 24
 MAX_QUBITS_ENV = "QSIM_MAX_QUBITS"
@@ -61,6 +61,15 @@ def check_capacity(width: int, what: str, max_qubits: int | None = None) -> None
         raise CapacityError(f"{what} needs {width} qubits, capacity is {limit}")
 
 
+def bits_index(bits: np.ndarray) -> np.ndarray:
+    """The basis index of each row of 0/1 ``bits``, its first column (q0) the top bit."""
+    index = np.zeros(len(bits), dtype=np.int64)
+    for column in bits.T:
+        index <<= 1
+        index |= column
+    return index
+
+
 def bitstring_bytes(index: np.ndarray, width: int) -> np.ndarray:
     """Time-ordered bitstrings (q0 leftmost) of basis indices, as ``S{width}``."""
     if width == 0:
@@ -80,52 +89,45 @@ def parse_bitstring_map(mapping, what: str, integral: bool = False):
     int64 range when ``integral``), never bools.  A ``Distribution`` is such
     a map in array form, its keys valid by construction, so only its values
     are checked.  Returns ``(width, index, values, total)``: each entry's
-    basis index and value (int64 when ``integral``, else float64) in mapping
-    order, and the plain sequential ``sum`` of the values in that order.  An
-    empty map has width 0.
+    basis index and value (int64 when ``integral``, else float64) sorted by
+    index, and the plain sequential ``sum`` of the values in mapping order.
+    An empty map has width 0.
     """
     dtype = np.dtype(np.int64 if integral else np.float64)
     if isinstance(mapping, Distribution):
-        return (mapping.width, mapping.support,
-                *_checked_values(mapping.probs, mapping.width, mapping.support, what, dtype))
-    keys = list(mapping)
-    raw = list(mapping.values())
-    if not keys:
-        return 0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype), 0
-    try:
-        joined = "".join(keys)
-    except TypeError:
-        raise ValidationError(f"{what} has a key that is not a bitstring") from None
-    widths = sorted(set(map(len, keys)))
-    if len(widths) > 1:
-        raise ValidationError(f"{what} mixes bitstring lengths {widths[0]} and {widths[1]}")
-    width = widths[0]
-    try:
-        bits = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - np.uint8(ord("0"))
-        malformed = width == 0 or bool((bits > 1).any())
-    except UnicodeEncodeError:
-        malformed = True
-    if malformed:
-        key = next(k for k in keys if not k or set(k) - {"0", "1"})
-        raise ValidationError(f"{what} has a malformed bitstring {key!r}")
-    if width > MAX_KEY_BITS:
-        raise CapacityError(f"{what} has {width}-bit keys, the limit is {MAX_KEY_BITS}")
-    index = np.zeros(len(keys), dtype=np.int64)
-    for column in bits.reshape(-1, width).T:
-        index <<= 1
-        index |= column
+        width, index, raw, order = mapping.width, mapping.support, mapping.probs, slice(None)
+    else:
+        keys = list(mapping)
+        raw = list(mapping.values())
+        if not keys:
+            return 0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype), 0
+        try:
+            joined = "".join(keys)
+        except TypeError:
+            raise ValidationError(f"{what} has a key that is not a bitstring") from None
+        widths = sorted(set(map(len, keys)))
+        if len(widths) > 1:
+            raise ValidationError(f"{what} mixes bitstring lengths {widths[0]} and {widths[1]}")
+        width = widths[0]
+        try:
+            bits = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - np.uint8(ord("0"))
+            malformed = width == 0 or bool((bits > 1).any())
+        except UnicodeEncodeError:
+            malformed = True
+        if malformed:
+            key = next(k for k in keys if not k or set(k) - {"0", "1"})
+            raise ValidationError(f"{what} has a malformed bitstring {key!r}")
+        if width > MAX_KEY_BITS:
+            raise CapacityError(f"{what} has {width}-bit keys, the limit is {MAX_KEY_BITS}")
+        index = bits_index(bits.reshape(-1, width))
 
-    kind = int if integral else numbers.Real
-    if not all(issubclass(t, kind) and not issubclass(t, bool) for t in set(map(type, raw))):
-        key = next(k for k, v in zip(keys, raw) if not isinstance(v, kind) or isinstance(v, bool))
-        raise ValidationError(f"{what} has a non-numeric value for {key!r}")
-    return width, index, *_checked_values(raw, width, index, what, dtype)
-
-
-def _checked_values(raw, width: int, index: np.ndarray, what: str, dtype: np.dtype):
-    """``raw`` (a list of numbers or an array, in mapping order) as a
-    ``dtype`` array of finite, non-negative values, and its sequential
-    ``sum``; errors name the bitstring of the first bad entry."""
+        kind = int if integral else numbers.Real
+        if not all(issubclass(t, kind) and not issubclass(t, bool) for t in set(map(type, raw))):
+            key = next(k for k, v in zip(keys, raw)
+                       if not isinstance(v, kind) or isinstance(v, bool))
+            raise ValidationError(f"{what} has a non-numeric value for {key!r}")
+        order = np.argsort(index, kind="stable")
+    # In mapping order: an error names the first bad entry, the total is a sequential sum.
     try:
         values = np.asarray(raw, dtype=dtype)
     except OverflowError:
@@ -134,7 +136,7 @@ def _checked_values(raw, width: int, index: np.ndarray, what: str, dtype: np.dty
     if bad.any():
         key = bitstring_bytes(index[bad][:1], width)[0].decode("ascii")
         raise ValidationError(f"{what} has a negative or non-finite value for {key!r}")
-    return values, sum(raw if isinstance(raw, list) else raw.tolist())
+    return width, index[order], values[order], sum(raw if isinstance(raw, list) else raw.tolist())
 
 
 class Distribution(Mapping):
@@ -167,19 +169,14 @@ class Distribution(Mapping):
     def from_mapping(cls, mapping, what: str = "distribution", normalized: bool = False):
         """Validate a bitstring->probability map; with ``normalized`` it must
         also be non-empty and sum to 1 within 1e-9.  ``Counts`` are divided by
-        their shots first; a ``Distribution`` is returned as it is, with
-        ``normalized`` after the same checks on its arrays."""
+        their shots first; a ``Distribution`` is returned as it is, or with
+        ``normalized`` as a new one on its arrays after the same checks."""
         if isinstance(mapping, Counts):
             mapping = counts_to_distribution(mapping)
-        arrays = isinstance(mapping, Distribution)
-        if arrays and not normalized:
+        if isinstance(mapping, Distribution) and not normalized:
             return mapping
         width, index, values, total = parse_bitstring_map(mapping, what)
-        if arrays:
-            dist = mapping
-        else:
-            order = np.argsort(index, kind="stable")
-            dist = cls(width, index[order], values[order])
+        dist = cls(width, index, values)
         if normalized:
             if not len(dist):
                 raise ValidationError(f"{what} is empty")
@@ -302,7 +299,6 @@ class Circuit:
                     )
 
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _CHUNK = 1 << 16  # amplitudes (1 MiB) per chunk of a run
 
 
@@ -460,8 +456,7 @@ class Counts(Distribution):
         width, index, tallies, total = parse_bitstring_map(raw, "counts", integral=True)
         if total != shots:
             raise ValidationError(f"counts sum to {total}, expected shots={shots}")
-        order = np.argsort(index, kind="stable")
-        return cls(width, index[order], tallies[order], shots)
+        return cls(width, index, tallies, shots)
 
 
 def counts_to_distribution(counts: Counts) -> Distribution:
@@ -503,8 +498,6 @@ def sample_counts(
     rng = np.random.default_rng(rng_seed)
     outcomes = cdf.searchsorted(rng.random(shots), side="right")
     if flip_prob > 0.0:
-        flips = rng.random((shots, n)) < flip_prob
-        weights = 1 << np.arange(n - 1, -1, -1)  # q0 is the MSB
-        outcomes = outcomes ^ (flips @ weights)
+        outcomes ^= bits_index(rng.random((shots, n)) < flip_prob)
     index, tallies = np.unique(outcomes, return_counts=True)
     return Counts(n, index, tallies, shots)

@@ -676,6 +676,16 @@ class TestCounts:
             Counts.from_json_dict({"shots": 1, "counts": {"0": 1}, "x": 2})
 
 
+class TestParseBitstringMap:
+    def test_index_order_and_mapping_order_total(self):
+        # The arrays come back sorted, but the total is summed in mapping
+        # order: in index order the two 1e-16 add up first and round 1.0 up.
+        mapping = {"10": 1.0, "00": 1e-16, "01": 1e-16}
+        width, index, values, total = core.parse_bitstring_map(mapping, "map")
+        assert (width, index.tolist(), values.tolist()) == (2, [0, 1, 2], [1e-16, 1e-16, 1.0])
+        assert total == 1.0 < sum(values.tolist())
+
+
 class TestSampleCounts:
     def test_deterministic_state(self):
         counts = sample_counts(ZERO, 8192, 123)

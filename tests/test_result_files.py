@@ -2,6 +2,7 @@
 ``json.load`` path give the same arrays, totals and errors for every file."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,7 @@ JUNK = ["", "\n", "x", "}", ",", " ", "﻿", "\0"]
 @example(["3", "9" * 19], "", "", 8)
 @example(["01", "1"], "", "", 2)
 @example(["01.5", "0.5"], "", "", None)
+@example(["true", "0.5"], "", "", None)  # JSON but not a number, with an "e" in it
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_odd_tokens_and_junk(tmp_path, monkeypatch, tokens, head, tail, shots):
     width = max(len(tokens) - 1, 0).bit_length() or 1
@@ -227,3 +229,50 @@ def test_hash_collisions_fall_back(tmp_path, monkeypatch):
     assert_paths_agree(tmp_path, monkeypatch, text, accepted=False)
     same = Distribution(2, np.arange(4), np.full(4, 0.25))
     assert_paths_agree(tmp_path, monkeypatch, to_json_text(same), accepted=True)
+
+
+@given(supports(), st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fidelity_with_itself_is_one(tmp_path, monkeypatch, capsys, drawn, data):
+    # Any valid file to_json_text writes is at distance 0 from itself,
+    # through the array reader and through json.load alike.
+    width, support = drawn
+    size = len(support)
+    if data.draw(st.booleans()):
+        tallies = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=size, max_size=size)))
+        if not tallies.any():
+            tallies[0] = 1
+        result = Counts(width, support, tallies, int(tallies.sum()))
+    else:
+        weights = st.floats(0.0, 1.0) | st.sampled_from([0.0, 5e-324, 1e-300, 1.0])
+        probs = np.array(data.draw(st.lists(weights, min_size=size, max_size=size)))
+        if not probs.any():
+            probs[0] = 1.0
+        result = Distribution(width, support, probs / probs.sum())
+    path = tmp_path / "result.json"
+    path.write_text(to_json_text(result) + "\n", encoding="utf-8")
+    for array_path in (True, False):
+        with monkeypatch.context() as patch:
+            if not array_path:
+                patch.setattr(cli, "read_json_layout", lambda path: None)
+            assert cli.main(["fidelity", str(path), str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["distance"], report["fidelity"]) == (0.0, 1.0)
+
+
+def test_other_layout_declined_before_reading_it_all(tmp_path):
+    # An indented file fails on its second byte, so the reader must not
+    # first allocate and fill a buffer as large as the file.
+    rng = np.random.default_rng(3)
+    probs = rng.random(1 << 16)
+    dist = Distribution(16, np.arange(1 << 16), probs / probs.sum())
+    path = tmp_path / "indented.json"
+    path.write_text(json.dumps(json.loads(to_json_text(dist)), indent=1), encoding="utf-8")
+    assert path.stat().st_size > 2 << 20
+    tracemalloc.start()
+    try:
+        assert read_json_layout(path) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
