@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (MAX_KEY_BITS, Counts, Distribution, bits_index, bitstring_bytes,
+from .core import (_CHUNK, MAX_KEY_BITS, Counts, Distribution, bits_index, bitstring_bytes,
                    counts_to_distribution)
 from .errors import ValidationError
 from .gates import _INV_SQRT2
@@ -32,6 +32,8 @@ def _on_union(p, q, p_what: str, q_what: str):
     if len(p) and len(q) and p.width != q.width:
         raise ValidationError(f"bitstring lengths differ: {p.width} vs {q.width}")
     width = p.width if len(p) else q.width
+    if np.array_equal(p.support, q.support):  # e.g. a run against its oracle
+        return width, p.support, *(np.asarray(side.probs, np.float64) for side in (p, q))
     # Both supports are sorted, so a stable sort merges two runs.  (np.union1d
     # takes a hash-table path that is ~15x slower at 2**20 entries and
     # imports numpy.ma on first use.)
@@ -100,8 +102,79 @@ def compare_runs(reference, observed) -> FidelityReport:
     return FidelityReport(_distance(ref_probs, obs_probs), diffs, *shots)
 
 
-_CHUNK = 1 << 16  # entries per record matrix of _distribution_text
 _VALUE_BYTES = 24  # every %.17g float and %d int64 fits, e.g. -2.2250738585072014e-308
+
+
+_GROUP_ROUNDS = tuple(map(np.uint64, (0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0xD6E8FEB86659FD93)))
+
+
+def _owners(keys: np.ndarray, index: np.ndarray, mult: np.uint64) -> np.ndarray:
+    """Hash ``keys`` into a table of at least twice as many slots, by
+    multiplying with the odd ``mult`` and keeping the top bits (Knuth, TAOCP
+    vol. 3, 6.4); per key, the ``index`` entry of the last key written to its
+    slot."""
+    bits = max(len(keys) - 1, 1).bit_length() + 1
+    slot = keys * mult
+    slot >>= np.uint64(64 - bits)
+    slot = slot.view(np.int64)  # numpy casts uint64 indices, but not int64 ones
+    owner = np.empty(1 << bits, np.intp)
+    owner[slot] = index
+    return owner[slot]
+
+
+def _sort_group(keys: np.ndarray):
+    """``_group`` by sorting, as ``np.unique`` does; its sort order gives each
+    group's first index without a scatter."""
+    order = keys.argsort()
+    ordered = keys[order]
+    starts = np.empty(len(keys), bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    inverse = np.empty(len(keys), np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
+def _group(keys: np.ndarray):
+    """Group equal uint64 keys: the index of one key per group (``first``)
+    and each key's group number (``inverse``), so that
+    ``keys[first][inverse] == keys``.  Groups come in no particular order.
+
+    Each round hashes the keys not yet grouped with ``_owners``.  A key joins
+    its slot owner's group only if the two are equal, so groups are exact,
+    and equal keys share a slot, so a group is settled in one round.  The
+    keys a round leaves go to the next.  A round that leaves more than a
+    sixteenth of its keys shows them to be mostly distinct (distinct keys
+    miss 11-21%, as the table holds 2-4 slots per key), and those are
+    grouped by sorting, which is then faster (and on sorted keys much
+    faster); a round on every 16th key tells this before the first round.
+    """
+    sample = keys[::16]
+    missed = sample[_owners(sample, np.arange(len(sample)), _GROUP_ROUNDS[0])] != sample
+    if np.count_nonzero(missed) * 16 > len(sample):
+        return _sort_group(keys)
+    is_first = np.zeros(len(keys), bool)
+    todo, sub, inverse = np.arange(len(keys)), keys, None
+    for mult in _GROUP_ROUNDS:
+        cand = _owners(sub, todo, mult)
+        is_first[cand] = True  # every owner is in its own group
+        if inverse is None:  # the first round covers every key, so its owners need no copy
+            inverse = cand
+        else:
+            inverse[todo] = cand
+        left, todo = len(todo), todo[keys[cand] != sub]
+        sub = keys[todo]
+        if not len(todo) or len(todo) * 16 > left:
+            break
+    if len(todo):
+        at, rest = _sort_group(sub)
+        rep = todo[at]
+        inverse[todo] = rep[rest]
+        is_first[rep] = True
+    first = np.flatnonzero(is_first)
+    label = np.empty(len(keys), np.intp)
+    label[first] = np.arange(len(first))
+    return first, label[inverse]
 
 
 def _record_head(width: int) -> np.ndarray:
@@ -121,9 +194,9 @@ def _distribution_text(dist: Distribution) -> str:
     if not len(probs):
         return "{}"
     # Keyed on bit patterns, so -0.0 stays apart from 0.0.
-    uniq, inverse = np.unique(probs.view(np.uint64), return_inverse=True)
+    first, inverse = _group(probs.view(np.uint64))
     fmt = b"%-24d" if integral else b"%-24.17g"
-    padded = (fmt * len(uniq)) % tuple(uniq.view(probs.dtype).tolist())
+    padded = (fmt * len(first)) % tuple(probs[first].tolist())
     table = np.frombuffer(padded.replace(b" ", b"\0"), np.uint8).reshape(-1, _VALUE_BYTES)
     # Record layout: head, value NUL-padded, ', '.
     key_bytes = max(dist.width, 1)  # bitstring_bytes gives S1 at width 0
@@ -237,10 +310,7 @@ def read_json_layout(path):
     # Group identical tokens by a hash of their three 8-byte words, then
     # check every token against its group's representative.
     words = tokens.view(np.uint64)
-    groups, inverse = np.unique(words[:, 0] * _HASH[0] ^ words[:, 1] * _HASH[1]
-                                ^ words[:, 2] * _HASH[2], return_inverse=True)
-    rep = np.empty(len(groups), np.intp)
-    rep[inverse] = np.arange(len(inverse))
+    rep, inverse = _group(words[:, 0] * _HASH[0] ^ words[:, 1] * _HASH[1] ^ words[:, 2] * _HASH[2])
     if any((words[:, k] != words[rep, k][inverse]).any() for k in range(3)):
         return None
     distinct = tokens[rep]

@@ -299,7 +299,7 @@ class Circuit:
                     )
 
 
-_CHUNK = 1 << 16  # amplitudes (1 MiB) per chunk of a run
+_CHUNK = 1 << 16  # amplitudes (1 MiB) per chunk of a run; entries per chunk of result text
 
 
 @functools.lru_cache(maxsize=1024)

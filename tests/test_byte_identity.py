@@ -295,3 +295,28 @@ def test_report_text_across_chunk_edges(size):
     report = compare_runs(*sides)
     assert len(report.diffs) == size
     assert to_json_text(report) == reference_text(fidelity_payload(*map(keyed, sides)))
+
+
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1),
+       st.sampled_from(["equal", "unequal", "zeros"]))
+@settings(max_examples=120, deadline=None)
+def test_report_on_equal_and_unequal_supports(width, seed, kind):
+    # compare_runs skips the merge when both supports are the same array of
+    # indices; the report must not change, explicit zeros included.
+    rng = np.random.default_rng(seed)
+    support = np.sort(rng.choice(1 << width, size=int(rng.integers(1, (1 << width) + 1)),
+                                 replace=False))
+    sides = []
+    for _ in range(2):
+        probs = rng.random(len(support)) * (rng.random(len(support)) < 0.7)
+        if kind != "zeros":
+            probs += 1e-3
+        probs[rng.integers(len(probs))] += 1.0
+        keep = rng.random(len(support)) < 0.8 if kind == "unequal" else slice(None)
+        if not probs[keep].any():
+            keep = slice(None)
+        sides.append(Distribution(width, support[keep], probs[keep] / probs[keep].sum()))
+    report = compare_runs(*sides)
+    assert to_json_text(report) == reference_text(fidelity_payload(*map(keyed, sides)))
+    if kind != "unequal":
+        assert report.diffs.support.tolist() == support.tolist()

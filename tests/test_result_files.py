@@ -276,3 +276,73 @@ def test_other_layout_declined_before_reading_it_all(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 64 << 10
+
+
+def assert_groups(keys, first, inverse):
+    """``first`` and ``inverse`` partition ``keys`` as ``np.unique`` does."""
+    assert len(first) == len(np.unique(keys)) and len(inverse) == len(keys)
+    assert (keys[first][inverse] == keys).all()
+    assert len(np.unique(keys[first])) == len(first)
+
+
+uint64s = st.integers(0, 2**64 - 1)
+
+
+@given(st.lists(uint64s, min_size=1, max_size=64).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=300)) | st.lists(uint64s, max_size=300),
+       st.sampled_from([0, 1000]))
+@settings(max_examples=150, deadline=None)
+def test_group_matches_unique(values, copies):
+    # Copies of one value keep the misses of a round few, so later rounds run.
+    keys = np.array(values[:1] * copies + values, np.uint64)
+    assert_groups(keys, *analysis._group(keys))
+
+
+@pytest.mark.parametrize("keys", [
+    np.zeros(0, np.uint64),
+    np.array([7], np.uint64),
+    np.full(1 << 16, 2**64 - 1, np.uint64),
+    np.random.default_rng(15).permutation((1 << 16) - 1).astype(np.uint64) * np.uint64(2**64 - 59),
+    np.random.default_rng(16).random((1 << 16) + 1).view(np.uint64),
+    np.array([0.0, -0.0, 0.0, -0.0, 1.0], np.float64).view(np.uint64),
+    np.random.default_rng(17).permutation(np.concatenate((
+        np.full(1 << 16, 3), np.arange(1 << 12) * 0x9E3779B1 + 4)).astype(np.uint64)),
+], ids=["empty", "one", "all-equal", "distinct-2^16-1", "distinct-2^16+1", "signed-zeros", "skewed"])
+def test_group_edges(keys):
+    first, inverse = analysis._group(keys)
+    assert_groups(keys, first, inverse)
+    assert inverse.dtype == first.dtype == np.intp
+
+
+def test_group_rounds_that_all_collide(monkeypatch):
+    # With every multiplier 0 each round puts all keys in one slot, so it
+    # settles only the last key's group; the sort finishes the rest.
+    rng = np.random.default_rng(4)
+    keys = np.where(rng.random(1 << 12) < 0.98, np.uint64(5),
+                    rng.integers(0, 50, 1 << 12, np.uint64))
+    sorted_sizes = []
+    sort_group = analysis._sort_group
+
+    def spy(sub):
+        sorted_sizes.append(len(sub))
+        return sort_group(sub)
+
+    monkeypatch.setattr(analysis, "_GROUP_ROUNDS", (np.uint64(0),) * 3)
+    monkeypatch.setattr(analysis, "_sort_group", spy)
+    assert_groups(keys, *analysis._group(keys))
+    assert len(sorted_sizes) == 1 and 0 < sorted_sizes[0] < len(keys)
+    distinct = rng.permutation(1 << 12).astype(np.uint64)
+    assert_groups(distinct, *analysis._group(distinct))
+    assert sorted_sizes[1:] == [len(distinct)]
+
+
+def test_token_groups_checked_byte_for_byte(tmp_path, monkeypatch):
+    # Hashing on the first 8 bytes alone puts 0.125000001 and 0.125000009 in
+    # one group; with every round colliding as well, the reader must still
+    # find the mismatch and leave the file to json.load.
+    probs = np.array([0.125000001, 0.125000009, 0.25, 0.49999999])
+    text = to_json_text(Distribution(2, np.arange(4), probs)) + "\n"
+    assert_paths_agree(tmp_path, monkeypatch, text, accepted=True)
+    monkeypatch.setattr(analysis, "_HASH", (np.uint64(1), np.uint64(0), np.uint64(0)))
+    monkeypatch.setattr(analysis, "_GROUP_ROUNDS", (np.uint64(0),) * 3)
+    assert_paths_agree(tmp_path, monkeypatch, text, accepted=False)
