@@ -2,6 +2,7 @@
 its fidelity complement, run-comparison reports, and the JSON text of
 results, written and read back as arrays."""
 
+import itertools
 import json
 import math
 import os
@@ -108,13 +109,17 @@ _VALUE_BYTES = 24  # every %.17g float and %d int64 fits, e.g. -2.22507385850720
 _GROUP_ROUNDS = tuple(map(np.uint64, (0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0xD6E8FEB86659FD93)))
 
 
-def _owners(keys: np.ndarray, index: np.ndarray, mult: np.uint64) -> np.ndarray:
-    """Hash ``keys`` into a table of at least twice as many slots, by
-    multiplying with the odd ``mult`` and keeping the top bits (Knuth, TAOCP
-    vol. 3, 6.4); per key, the ``index`` entry of the last key written to its
-    slot."""
-    bits = max(len(keys) - 1, 1).bit_length() + 1
-    slot = keys * mult
+def _owners(rows: np.ndarray, index: np.ndarray, mult: np.uint64) -> np.ndarray:
+    """Hash ``rows`` of uint64 words into a table of at least twice as many
+    slots: fold each row's words into the odd ``mult`` by multiplying and
+    xoring, and keep the top bits (Knuth, TAOCP vol. 3, 6.4); per row, the
+    ``index`` entry of the last row written to its slot."""
+    bits = max(len(rows) - 1, 1).bit_length() + 1
+    first, *rest = rows.T
+    slot = first * mult
+    for word in rest:
+        slot ^= word
+        slot *= mult
     slot >>= np.uint64(64 - bits)
     slot = slot.view(np.int64)  # numpy casts uint64 indices, but not int64 ones
     owner = np.empty(1 << bits, np.intp)
@@ -122,55 +127,36 @@ def _owners(keys: np.ndarray, index: np.ndarray, mult: np.uint64) -> np.ndarray:
     return owner[slot]
 
 
-def _sort_group(keys: np.ndarray):
-    """``_group`` by sorting, as ``np.unique`` does; its sort order gives each
-    group's first index without a scatter."""
-    order = keys.argsort()
-    ordered = keys[order]
-    starts = np.empty(len(keys), bool)
-    starts[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    inverse = np.empty(len(keys), np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
-
-
 def _group(keys: np.ndarray):
-    """Group equal uint64 keys: the index of one key per group (``first``)
-    and each key's group number (``inverse``), so that
+    """Group equal keys, uint64 words or rows of them: the index of one key
+    per group (``first``) and each key's group number (``inverse``), so that
     ``keys[first][inverse] == keys``.  Groups come in no particular order.
 
     Each round hashes the keys not yet grouped with ``_owners``.  A key joins
-    its slot owner's group only if the two are equal, so groups are exact,
-    and equal keys share a slot, so a group is settled in one round.  The
-    keys a round leaves go to the next.  A round that leaves more than a
-    sixteenth of its keys shows them to be mostly distinct (distinct keys
-    miss 11-21%, as the table holds 2-4 slots per key), and those are
-    grouped by sorting, which is then faster (and on sorted keys much
-    faster); a round on every 16th key tells this before the first round.
+    its slot owner's group only if the two are equal word for word, so
+    groups are exact, and equal keys share a slot, so a group is settled in
+    one round.  The keys a round leaves go to the next, and as every slot's
+    owner is settled, the rounds end.
     """
-    sample = keys[::16]
-    missed = sample[_owners(sample, np.arange(len(sample)), _GROUP_ROUNDS[0])] != sample
-    if np.count_nonzero(missed) * 16 > len(sample):
-        return _sort_group(keys)
+    rows = keys[:, None] if keys.ndim == 1 else keys
+    words = rows.T
     is_first = np.zeros(len(keys), bool)
-    todo, sub, inverse = np.arange(len(keys)), keys, None
-    for mult in _GROUP_ROUNDS:
+    todo, sub, inverse = np.arange(len(keys)), rows, None
+    for mult in itertools.cycle(_GROUP_ROUNDS):
         cand = _owners(sub, todo, mult)
         is_first[cand] = True  # every owner is in its own group
         if inverse is None:  # the first round covers every key, so its owners need no copy
             inverse = cand
         else:
             inverse[todo] = cand
-        left, todo = len(todo), todo[keys[cand] != sub]
-        sub = keys[todo]
-        if not len(todo) or len(todo) * 16 > left:
+        # Word by word: the owners' words gather faster one at a time than as rows.
+        missed = words[0][cand] != sub[:, 0]
+        for k in range(1, len(words)):
+            missed |= words[k][cand] != sub[:, k]
+        todo = todo[missed]
+        if not len(todo):
             break
-    if len(todo):
-        at, rest = _sort_group(sub)
-        rep = todo[at]
-        inverse[todo] = rep[rest]
-        is_first[rep] = True
+        sub = rows.take(todo, axis=0)
     first = np.flatnonzero(is_first)
     label = np.empty(len(keys), np.intp)
     label[first] = np.arange(len(first))
@@ -246,7 +232,6 @@ _NUMBER_BYTES[list(b".eE")] = 2  # json.loads makes a float of a token with one 
 _TALLY_BYTES = 18  # a tally token this short fits int64
 _ENVELOPE = re.compile(rb'\{"shots": (-?(?:0|[1-9][0-9]{0,17})), "counts": \{')
 _PREFIX = np.tri(_VALUE_BYTES + 1, _VALUE_BYTES, -1, np.uint8) * np.uint8(255)  # row k keeps k bytes
-_HASH = tuple(map(np.uint64, (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9)))
 
 
 def read_json_layout(path):
@@ -307,12 +292,7 @@ def read_json_layout(path):
     if not (index[1:] > index[:-1]).all():
         return None
 
-    # Group identical tokens by a hash of their three 8-byte words, then
-    # check every token against its group's representative.
-    words = tokens.view(np.uint64)
-    rep, inverse = _group(words[:, 0] * _HASH[0] ^ words[:, 1] * _HASH[1] ^ words[:, 2] * _HASH[2])
-    if any((words[:, k] != words[rep, k][inverse]).any() for k in range(3)):
-        return None
+    rep, inverse = _group(tokens.view(np.uint64))  # identical tokens, by their three 8-byte words
     distinct = tokens[rep]
     filled = np.count_nonzero(distinct, axis=1)  # a NUL in a token would pass as padding
     dtype, longest = (np.int64, _TALLY_BYTES) if envelope else (np.float64, _VALUE_BYTES)

@@ -152,7 +152,7 @@ def _load_result(path):
         data = read_json(path)
         if not isinstance(data, dict):
             raise ValidationError(f"{path}: expected a JSON object")
-    if isinstance(data, dict) and data.keys() == {"shots", "counts"}:
+    if isinstance(data, dict) and data.keys() & {"shots", "counts"}:  # neither is a bitstring
         return Counts.from_json_dict(data)
     return validate_distribution(data, str(path))
 

@@ -167,24 +167,20 @@ class Distribution(Mapping):
 
     @classmethod
     def from_mapping(cls, mapping, what: str = "distribution", normalized: bool = False):
-        """Validate a bitstring->probability map; with ``normalized`` it must
-        also be non-empty and sum to 1 within 1e-9.  ``Counts`` are divided by
-        their shots first; a ``Distribution`` is returned as it is, or with
-        ``normalized`` as a new one on its arrays after the same checks."""
+        """Validate a bitstring->probability map: non-empty, summing to 1
+        within 1e-9.  ``Counts`` are divided by their shots first; a
+        ``Distribution`` is returned as it is, or with ``normalized`` as a
+        new one on its arrays after the same checks."""
         if isinstance(mapping, Counts):
             mapping = counts_to_distribution(mapping)
         if isinstance(mapping, Distribution) and not normalized:
             return mapping
         width, index, values, total = parse_bitstring_map(mapping, what)
-        dist = cls(width, index, values)
-        if normalized:
-            if not len(dist):
-                raise ValidationError(f"{what} is empty")
-            if abs(total - 1.0) > DIST_SUM_ATOL:
-                raise ValidationError(
-                    f"{what} sums to {total}, expected 1 within {DIST_SUM_ATOL}"
-                )
-        return dist
+        if not len(index):
+            raise ValidationError(f"{what} is empty")
+        if abs(total - 1.0) > DIST_SUM_ATOL:
+            raise ValidationError(f"{what} sums to {total}, expected 1 within {DIST_SUM_ATOL}")
+        return cls(width, index, values)
 
     def bit_reversed(self) -> "Distribution":
         """The same distribution keyed with q0 as the rightmost character."""

@@ -192,18 +192,11 @@ def _embed(op: GateOp, num_qubits: int) -> np.ndarray:
         raise ValidationError(
             f"{op.text()} addresses a qubit outside a {num_qubits}-qubit register"
         )
-    if op.name == "CNOT":
-        dim = 1 << num_qubits
-        control, target = op.qubits
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for col in range(dim):
-            if (col >> (num_qubits - 1 - control)) & 1:
-                row = col ^ (1 << (num_qubits - 1 - target))
-            else:
-                row = col
-            out[row, col] = 1.0
-        return out
     mat = op.matrix()
+    if op.name == "CNOT":  # compose_sequence allows it only on a 2-qubit register
+        if op.qubits == (0, 1):
+            return mat
+        return mat.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)  # the qubits swap roles
     if num_qubits == 1:
         return mat
     eye = np.eye(2, dtype=np.complex128)

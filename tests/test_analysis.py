@@ -98,6 +98,17 @@ class TestHellinger:
         with pytest.raises(ValidationError):
             hellinger_distance({"0": -0.1, "1": 1.1}, {"0": 1.0})
 
+    @pytest.mark.parametrize(("p", "q"), [
+        ({}, {}),
+        ({"0": 0.25}, {"0": 1.0}),
+        ({"0": 0.5, "1": 0.5}, {"0": 2.0}),
+    ], ids=["both-empty", "sums-to-a-quarter", "sums-to-two"])
+    def test_maps_that_are_not_distributions_refused(self, p, q):
+        # Each of these used to give a plausible number (0.0, 0.646, 0.707).
+        for compare in (hellinger_distance, hellinger_fidelity, compare_runs):
+            with pytest.raises(ValidationError, match="is empty|sums to"):
+                compare(p, q)
+
     def test_metric_properties_random(self):
         rng = np.random.default_rng(314)
         keys = [format(i, "03b") for i in range(8)]

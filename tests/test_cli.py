@@ -333,6 +333,18 @@ class TestFidelity:
         assert code == 0
         assert json.loads(out)["diffs"] == {"00000": 0.5, "11111": 0.5}
 
+    @pytest.mark.parametrize("data", [
+        {"shots": 5, "counts": {"0": 5}, "x": 1},
+        {"shots": 1.0},
+    ], ids=["extra-key", "shots-only"])
+    def test_broken_counts_object_named(self, capsys, tmp_path, data):
+        # Neither key can be a bitstring, so the file is a broken counts object.
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "fidelity", str(path), str(path))
+        assert (code, out) == (2, "")
+        assert "counts JSON needs exactly the keys 'shots' and 'counts'" in err
+
     @pytest.mark.parametrize("count", [2**63, 2**70])
     def test_count_beyond_int64_refused(self, capsys, tmp_path, count):
         path = tmp_path / "counts.json"

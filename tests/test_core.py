@@ -722,6 +722,29 @@ class TestSampleCounts:
         for bucket in counts.values():
             assert 3800 <= bucket <= 4390
 
+    @pytest.mark.parametrize("case", range(20))
+    def test_readout_noise_matches_exact_channel(self, case):
+        # Readout bit flips are a tensor-product channel: [[1-p, p], [p, 1-p]]
+        # along each bit axis of the ideal vector gives the exact noisy
+        # distribution (Bravyi et al., PRA 103, 042605).  Pearson's
+        # chi-square over the bins expecting at least 5 counts, as a z-score.
+        n, p = 2 + case % 7, (0.01, 0.05, 0.2, 0.5)[case % 4]
+        rng = np.random.default_rng(7000 + case)
+        state = execute(compile_to_circuit(random_chain(rng, n)))
+        exact = (np.abs(state.amplitudes) ** 2).reshape((2,) * n)
+        flip = np.array([[1 - p, p], [p, 1 - p]])
+        for axis in range(n):
+            exact = np.moveaxis(np.tensordot(flip, exact, axes=(1, axis)), 0, axis)
+        shots = 1 << 16
+        counts = sample_counts(state, shots, int(rng.integers(2**31)), NoiseModel(0.0, p))
+        observed = np.zeros(1 << n)
+        observed[counts.support] = counts.probs
+        expected = shots * exact.reshape(-1)
+        kept = expected >= 5
+        chi2 = float(((observed[kept] - expected[kept]) ** 2 / expected[kept]).sum())
+        df = int(kept.sum()) - 1
+        assert (chi2 - df) / math.sqrt(2 * df) <= 6
+
     def test_reproducible_per_seed(self):
         state = execute(Circuit(2, [GateOp("H", (0,))]))
         a = sample_counts(state, 4096, 42, NoiseModel(0.0, 0.02))

@@ -220,13 +220,12 @@ def test_canonical_file_never_falls_back(tmp_path, monkeypatch, capsys):
     assert json.loads(report)["diffs"]["001"] == 0.25
 
 
-def test_hash_collisions_fall_back(tmp_path, monkeypatch):
-    # Tokens are grouped by hash and then compared byte for byte, so a hash
-    # that maps every token to one group sends the file to json.load.
+def test_hash_collisions_resolved_in_the_reader(tmp_path, monkeypatch):
+    # With every multiplier 0 all tokens hash to one slot, so the rounds
+    # alone must tell them apart; the file stays with the array reader.
+    monkeypatch.setattr(analysis, "_GROUP_ROUNDS", (np.uint64(0),) * 3)
     dist = Distribution(2, np.arange(4), np.array([0.125, 0.375, 0.125, 0.375]))
-    text = to_json_text(dist) + "\n"
-    monkeypatch.setattr(analysis, "_HASH", (np.uint64(0),) * 3)
-    assert_paths_agree(tmp_path, monkeypatch, text, accepted=False)
+    assert_paths_agree(tmp_path, monkeypatch, to_json_text(dist) + "\n", accepted=True)
     same = Distribution(2, np.arange(4), np.full(4, 0.25))
     assert_paths_agree(tmp_path, monkeypatch, to_json_text(same), accepted=True)
 
@@ -307,7 +306,10 @@ def test_group_matches_unique(values, copies):
     np.array([0.0, -0.0, 0.0, -0.0, 1.0], np.float64).view(np.uint64),
     np.random.default_rng(17).permutation(np.concatenate((
         np.full(1 << 16, 3), np.arange(1 << 12) * 0x9E3779B1 + 4)).astype(np.uint64)),
-], ids=["empty", "one", "all-equal", "distinct-2^16-1", "distinct-2^16+1", "signed-zeros", "skewed"])
+    np.sort(np.random.default_rng(18).random(1 << 16)).view(np.uint64),
+    np.random.default_rng(19).integers(0, 1 << 24, 1 << 16, np.uint64) << np.uint64(40),
+], ids=["empty", "one", "all-equal", "distinct-2^16-1", "distinct-2^16+1", "signed-zeros", "skewed",
+        "sorted-distinct-2^16", "multiples-of-2^40"])
 def test_group_edges(keys):
     first, inverse = analysis._group(keys)
     assert_groups(keys, first, inverse)
@@ -316,33 +318,27 @@ def test_group_edges(keys):
 
 def test_group_rounds_that_all_collide(monkeypatch):
     # With every multiplier 0 each round puts all keys in one slot, so it
-    # settles only the last key's group; the sort finishes the rest.
+    # settles only the last key's group; the rounds go on until none is left.
+    monkeypatch.setattr(analysis, "_GROUP_ROUNDS", (np.uint64(0),) * 3)
     rng = np.random.default_rng(4)
     keys = np.where(rng.random(1 << 12) < 0.98, np.uint64(5),
                     rng.integers(0, 50, 1 << 12, np.uint64))
-    sorted_sizes = []
-    sort_group = analysis._sort_group
-
-    def spy(sub):
-        sorted_sizes.append(len(sub))
-        return sort_group(sub)
-
-    monkeypatch.setattr(analysis, "_GROUP_ROUNDS", (np.uint64(0),) * 3)
-    monkeypatch.setattr(analysis, "_sort_group", spy)
     assert_groups(keys, *analysis._group(keys))
-    assert len(sorted_sizes) == 1 and 0 < sorted_sizes[0] < len(keys)
     distinct = rng.permutation(1 << 12).astype(np.uint64)
     assert_groups(distinct, *analysis._group(distinct))
-    assert sorted_sizes[1:] == [len(distinct)]
+    # Rows of three words, many sharing their first word with other rows.
+    rows = rng.integers(0, 64, (1000, 3), np.uint64)
+    first, inverse = analysis._group(rows)
+    assert len(first) == len(np.unique(rows, axis=0)) and len(inverse) == len(rows)
+    assert (rows[first][inverse] == rows).all()
+    assert len(np.unique(rows[first], axis=0)) == len(first)
 
 
 def test_token_groups_checked_byte_for_byte(tmp_path, monkeypatch):
-    # Hashing on the first 8 bytes alone puts 0.125000001 and 0.125000009 in
-    # one group; with every round colliding as well, the reader must still
-    # find the mismatch and leave the file to json.load.
+    # 0.125000001 and 0.125000009 share their first 8 bytes, and with every
+    # multiplier 0 all tokens share a slot too: the rounds must still compare
+    # all 24 bytes and keep the two apart.
+    monkeypatch.setattr(analysis, "_GROUP_ROUNDS", (np.uint64(0),) * 3)
     probs = np.array([0.125000001, 0.125000009, 0.25, 0.49999999])
     text = to_json_text(Distribution(2, np.arange(4), probs)) + "\n"
     assert_paths_agree(tmp_path, monkeypatch, text, accepted=True)
-    monkeypatch.setattr(analysis, "_HASH", (np.uint64(1), np.uint64(0), np.uint64(0)))
-    monkeypatch.setattr(analysis, "_GROUP_ROUNDS", (np.uint64(0),) * 3)
-    assert_paths_agree(tmp_path, monkeypatch, text, accepted=False)
