@@ -22,19 +22,27 @@ def validate_distribution(dist, what: str = "distribution") -> Distribution:
     """Check a bitstring->probability map: binary keys of one length,
     non-negative values summing to 1 within 1e-9.  Returns it as a
     ``Distribution``."""
-    return Distribution.from_mapping(dist, what, normalized=True)
+    return Distribution.from_mapping(dist, what)
 
 
-def _on_union(p, q, p_what: str, q_what: str):
+def _checked(side, what: str):
+    """A comparison input after its checks: ``Counts`` whose tallies total
+    its positive shots, or else a non-empty map of finite, non-negative
+    values summing to 1 within 1e-9, as a ``Distribution``."""
+    if isinstance(side, Counts):
+        return Counts.from_json_dict({"shots": side.shots, "counts": side})
+    return validate_distribution(side, what)
+
+
+def _on_union(p, q):
     """Width, the sorted union of both supports, and each side's
-    probabilities over it (absent entries read as zero)."""
-    p = Distribution.from_mapping(p, p_what)
-    q = Distribution.from_mapping(q, q_what)
-    if len(p) and len(q) and p.width != q.width:
+    probabilities over it (absent entries read as zero), for two checked
+    sides; ``Counts`` are divided by their shots."""
+    p, q = (counts_to_distribution(s) if isinstance(s, Counts) else s for s in (p, q))
+    if p.width != q.width:
         raise ValidationError(f"bitstring lengths differ: {p.width} vs {q.width}")
-    width = p.width if len(p) else q.width
     if np.array_equal(p.support, q.support):  # e.g. a run against its oracle
-        return width, p.support, *(np.asarray(side.probs, np.float64) for side in (p, q))
+        return p.width, p.support, *(np.asarray(side.probs, np.float64) for side in (p, q))
     # Both supports are sorted, so a stable sort merges two runs.  (np.union1d
     # takes a hash-table path that is ~15x slower at 2**20 entries and
     # imports numpy.ma on first use.)
@@ -45,7 +53,7 @@ def _on_union(p, q, p_what: str, q_what: str):
         probs = np.zeros(len(union))
         probs[np.searchsorted(union, side.support)] = side.probs
         spread.append(probs)
-    return width, union, *spread
+    return p.width, union, *spread
 
 
 def _distance(p_probs: np.ndarray, q_probs: np.ndarray) -> float:
@@ -60,9 +68,12 @@ def hellinger_distance(p, q) -> float:
     """(1/sqrt 2) times the L2 distance between the square-root vectors.
 
     Computed over the union of supports; absent keys count as probability
-    zero.  Symmetric, and 0 exactly for identical inputs.
+    zero.  Symmetric, and 0 exactly for identical inputs.  Each side, a map,
+    ``Distribution`` or ``Counts``, is checked first and raises
+    ``ValidationError`` if it is not a distribution.
     """
-    _, _, p_probs, q_probs = _on_union(p, q, "first distribution", "second distribution")
+    sides = _checked(p, "first distribution"), _checked(q, "second distribution")
+    _, _, p_probs, q_probs = _on_union(*sides)
     return _distance(p_probs, q_probs)
 
 
@@ -90,14 +101,19 @@ class FidelityReport:
         return 1.0 - self.hellinger_distance
 
 
-def compare_runs(reference, observed) -> FidelityReport:
+def compare_runs(reference, observed, *, checked: bool = False) -> FidelityReport:
     """Build a fidelity report between two runs.
 
     Either side may be a ``Counts`` histogram (normalized by its shots, which
     are recorded) or a distribution of probabilities (shots recorded as 0).
+    Each side takes the checks of ``hellinger_distance``, and ``Counts``
+    tallies must total their shots; ``checked`` says that both sides, a
+    ``Counts`` or ``Distribution`` each, have passed those checks already.
     Work and memory scale with the supports, not with 2**width.
     """
-    width, union, ref_probs, obs_probs = _on_union(reference, observed, "reference", "observed")
+    if not checked:
+        reference, observed = _checked(reference, "reference"), _checked(observed, "observed")
+    width, union, ref_probs, obs_probs = _on_union(reference, observed)
     diffs = Distribution(width, union, np.abs(ref_probs - obs_probs))
     shots = [side.shots if isinstance(side, Counts) else 0 for side in (reference, observed)]
     return FidelityReport(_distance(ref_probs, obs_probs), diffs, *shots)
@@ -168,39 +184,63 @@ def _record_head(width: int) -> np.ndarray:
     return np.frombuffer(b'"' + b"0" * width + b'": ', np.uint8)
 
 
-def _distribution_text(dist: Distribution) -> str:
-    """``{"key": value, ...}`` over the support, built without a Python
-    object per entry: each distinct value is formatted once, and each chunk
-    of entries fills a matrix of fixed-width records whose NUL padding one
-    mask drops."""
+def _distribution_pieces(dist: Distribution, head: str = "", tail: str = ""):
+    """``head``, ``{"key": value, ...}`` over the support and ``tail``, as an
+    iterator of str pieces: ``head + "{"``, one piece per chunk of at most
+    ``_CHUNK`` entries, and ``"}" + tail``.  The value check runs and each
+    distinct value is formatted once before the iterator exists."""
     integral = dist.probs.dtype.kind == "i"
     probs = np.asarray(dist.probs, dtype=np.int64 if integral else np.float64)
     if not np.isfinite(probs).all():
         raise ValidationError("cannot serialize a non-finite probability")
     if not len(probs):
-        return "{}"
+        return iter((head + "{}" + tail,))
     # Keyed on bit patterns, so -0.0 stays apart from 0.0.
     first, inverse = _group(probs.view(np.uint64))
     fmt = b"%-24d" if integral else b"%-24.17g"
     padded = (fmt * len(first)) % tuple(probs[first].tolist())
     table = np.frombuffer(padded.replace(b" ", b"\0"), np.uint8).reshape(-1, _VALUE_BYTES)
-    # Record layout: head, value NUL-padded, ', '.
+    return itertools.chain((head + "{",), _record_pieces(dist, table, inverse), ("}" + tail,))
+
+
+def _record_pieces(dist: Distribution, table: np.ndarray, inverse: np.ndarray):
+    """The entries, a chunk at a time, built without a Python object per
+    entry: each chunk fills a matrix of fixed-width records (head, value
+    from ``table`` NUL-padded, ``, ``) whose NUL padding one mask drops.
+    The last record loses its ``, ``."""
     key_bytes = max(dist.width, 1)  # bitstring_bytes gives S1 at width 0
     value_at = key_bytes + 4
-    records = np.empty((min(len(probs), _CHUNK), value_at + _VALUE_BYTES + 2), np.uint8)
+    records = np.empty((min(len(inverse), _CHUNK), value_at + _VALUE_BYTES + 2), np.uint8)
     records[:, :value_at] = _record_head(key_bytes)
     records[:, -2:] = np.frombuffer(b", ", np.uint8)
-    pieces = ["{"]
-    for start in range(0, len(probs), _CHUNK):
+    for start in range(0, len(inverse), _CHUNK):
         support = dist.support[start : start + _CHUNK]
         chunk = records[: len(support)]
-        keys = bitstring_bytes(support, dist.width)
-        chunk[:, 1 : value_at - 3] = keys.view(np.uint8).reshape(len(support), key_bytes)
+        keys = bitstring_bytes(support, dist.width).view(np.uint8)
+        chunk[:, 1 : value_at - 3] = keys.reshape(len(support), key_bytes)
+        del keys  # not held while the next chunk is made
         chunk[:, value_at:-2] = table[inverse[start : start + _CHUNK]]
-        pieces.append(chunk[chunk != 0].tobytes().decode("ascii"))
-    pieces[-1] = pieces[-1][:-2]
-    pieces.append("}")
-    return "".join(pieces)
+        if start + _CHUNK >= len(inverse):
+            chunk[-1, -2:] = 0
+        yield str(chunk[chunk != 0], "ascii")
+
+
+def json_pieces(value):
+    """``to_json_text(value)`` as an iterator of str pieces, one per chunk of
+    at most ``_CHUNK`` entries plus the text around them, so a writer holds
+    one chunk's text at a time.  The checks run before it returns: NaN and
+    infinity raise ``ValidationError``, and any other type ``TypeError``."""
+    if isinstance(value, Counts):
+        return _distribution_pieces(value, '{"shots": %d, "counts": ' % value.shots, "}")
+    if isinstance(value, Distribution):
+        return _distribution_pieces(value)
+    if isinstance(value, FidelityReport):
+        floats = (value.hellinger_distance, value.hellinger_fidelity)
+        if not all(map(math.isfinite, floats)):
+            raise ValidationError(f"cannot serialize the non-finite distance {floats[0]}")
+        head = '{"distance": %.17g, "fidelity": %.17g, "diffs": ' % floats
+        return _distribution_pieces(value.diffs, head, "}")
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def to_json_text(value) -> str:
@@ -213,17 +253,7 @@ def to_json_text(value) -> str:
     {bitstring: float}}``.  NaN and infinity have no JSON form and raise
     ``ValidationError``; any other type raises ``TypeError``.
     """
-    if isinstance(value, Counts):
-        return '{"shots": %d, "counts": %s}' % (value.shots, _distribution_text(value))
-    if isinstance(value, Distribution):
-        return _distribution_text(value)
-    if isinstance(value, FidelityReport):
-        floats = (value.hellinger_distance, value.hellinger_fidelity)
-        if not all(map(math.isfinite, floats)):
-            raise ValidationError(f"cannot serialize the non-finite distance {floats[0]}")
-        diffs = _distribution_text(value.diffs)
-        return '{"distance": %.17g, "fidelity": %.17g, "diffs": %s}' % (*floats, diffs)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    return "".join(json_pieces(value))
 
 
 _NUMBER_BYTES = np.zeros(256, np.uint8)  # 0: a byte no number token holds

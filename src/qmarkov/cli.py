@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .analysis import compare_runs, read_json_layout, to_json_text, validate_distribution
+from .analysis import compare_runs, json_pieces, read_json_layout, validate_distribution
 from .core import Counts, NoiseModel, execute, probabilities, sample_counts
 from .errors import CapacityError, ValidationError
 from .gates import (
@@ -88,17 +88,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(pieces, stream) -> None:
+    """Write a result's JSON ``pieces`` and a newline to a text ``stream``;
+    ``writelines`` lets each piece go before it makes the next."""
+    stream.writelines(pieces)
+    stream.write("\n")
+
+
 def _emit(result, args) -> None:
-    """Write ``result`` as JSON in ``args.bit_order`` to ``args.out`` or stdout."""
+    """Write ``result`` as JSON in ``args.bit_order`` to ``args.out`` or
+    stdout; the file is opened only once the result has passed the checks."""
     if args.bit_order == "reversed":
         result = result.bit_reversed()
-    text = to_json_text(result)
+    pieces = json_pieces(result)
     if args.out is None:
-        print(text)
+        _write(pieces, sys.stdout)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+            _write(pieces, fh)
 
 
 def cmd_compile(args) -> int:
@@ -158,7 +165,8 @@ def _load_result(path):
 
 
 def cmd_fidelity(args) -> int:
-    print(to_json_text(compare_runs(_load_result(args.file_a), _load_result(args.file_b))))
+    report = compare_runs(_load_result(args.file_a), _load_result(args.file_b), checked=True)
+    _write(json_pieces(report), sys.stdout)
     return 0
 
 

@@ -96,6 +96,7 @@ def parse_bitstring_map(mapping, what: str, integral: bool = False):
     dtype = np.dtype(np.int64 if integral else np.float64)
     if isinstance(mapping, Distribution):
         width, index, raw, order = mapping.width, mapping.support, mapping.probs, slice(None)
+        floats = np.asarray(raw).dtype.kind == "f"
     else:
         keys = list(mapping)
         raw = list(mapping.values())
@@ -122,10 +123,12 @@ def parse_bitstring_map(mapping, what: str, integral: bool = False):
         index = bits_index(bits.reshape(-1, width))
 
         kind = int if integral else numbers.Real
-        if not all(issubclass(t, kind) and not issubclass(t, bool) for t in set(map(type, raw))):
+        types = set(map(type, raw))
+        if not all(issubclass(t, kind) and not issubclass(t, bool) for t in types):
             key = next(k for k, v in zip(keys, raw)
                        if not isinstance(v, kind) or isinstance(v, bool))
             raise ValidationError(f"{what} has a non-numeric value for {key!r}")
+        floats = types == {float}
         order = np.argsort(index, kind="stable")
     # In mapping order: an error names the first bad entry, the total is a sequential sum.
     try:
@@ -136,7 +139,13 @@ def parse_bitstring_map(mapping, what: str, integral: bool = False):
     if bad.any():
         key = bitstring_bytes(index[bad][:1], width)[0].decode("ascii")
         raise ValidationError(f"{what} has a negative or non-finite value for {key!r}")
-    return width, index[order], values[order], sum(raw if isinstance(raw, list) else raw.tolist())
+    if floats and not integral and len(values):
+        # Python's sum of floats (3.10, 3.11) without a float object per
+        # entry: one add after another from the int 0, so -0.0 reads 0.0.
+        total = float(np.cumsum(values)[-1]) + 0.0
+    else:  # ints, alone or mixed with floats: exact, as int64 could overflow
+        total = sum(raw if isinstance(raw, list) else raw.tolist())
+    return width, index[order], values[order], total
 
 
 class Distribution(Mapping):
@@ -166,15 +175,13 @@ class Distribution(Mapping):
         return cls(width, support, vector[support])
 
     @classmethod
-    def from_mapping(cls, mapping, what: str = "distribution", normalized: bool = False):
+    def from_mapping(cls, mapping, what: str = "distribution") -> "Distribution":
         """Validate a bitstring->probability map: non-empty, summing to 1
         within 1e-9.  ``Counts`` are divided by their shots first; a
-        ``Distribution`` is returned as it is, or with ``normalized`` as a
-        new one on its arrays after the same checks."""
+        ``Distribution`` is checked on its arrays and returned as a new one
+        on them."""
         if isinstance(mapping, Counts):
             mapping = counts_to_distribution(mapping)
-        if isinstance(mapping, Distribution) and not normalized:
-            return mapping
         width, index, values, total = parse_bitstring_map(mapping, what)
         if not len(index):
             raise ValidationError(f"{what} is empty")
@@ -445,7 +452,7 @@ class Counts(Distribution):
             raise ValidationError("counts JSON needs exactly the keys 'shots' and 'counts'")
         shots = data["shots"]
         raw = data["counts"]
-        if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
+        if not isinstance(shots, numbers.Integral) or isinstance(shots, bool) or shots < 1:
             raise ValidationError("'shots' must be a positive integer")
         if not isinstance(raw, Mapping):
             raise ValidationError("'counts' must be an object")

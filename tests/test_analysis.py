@@ -9,6 +9,7 @@ from conftest import worked_chain
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmarkov import core
 from qmarkov import (
     Counts,
     Distribution,
@@ -108,6 +109,47 @@ class TestHellinger:
         for compare in (hellinger_distance, hellinger_fidelity, compare_runs):
             with pytest.raises(ValidationError, match="is empty|sums to"):
                 compare(p, q)
+
+    @pytest.mark.parametrize(("p", "q", "message"), [
+        (Distribution(1, [0], [0.25]), {"0": 1.0}, "sums to 0.25"),
+        (Distribution(0, np.zeros(0, np.int64), np.zeros(0)),
+         Distribution(0, np.zeros(0, np.int64), np.zeros(0)), "is empty"),
+        ({"0": 1.0}, Distribution(1, np.array([0, 1]), np.array([-0.5, 1.5])), "negative"),
+        (Distribution(1, np.array([0]), np.array([np.nan])), {"0": 1.0}, "non-finite"),
+        (Counts(1, np.array([0]), np.array([3]), 5), {"0": 1.0}, "expected shots=5"),
+        ({"0": 1.0}, Counts(1, np.zeros(0, np.int64), np.zeros(0, np.int64), 0), "'shots'"),
+    ], ids=["sums-to-a-quarter", "both-empty", "negative", "nan", "tallies-short", "no-shots"])
+    def test_built_sides_that_are_not_distributions_refused(self, p, q, message):
+        # A hand-built Distribution or Counts takes the checks of a map: these
+        # gave 0.354, 0.0, nan (with a RuntimeWarning) and 0.159.
+        for compare in (hellinger_distance, hellinger_fidelity, compare_runs):
+            with pytest.raises(ValidationError, match=message):
+                compare(p, q)
+            with pytest.raises(ValidationError, match=message):
+                compare(q, p)
+
+    def test_checked_sides_are_not_checked_again(self, monkeypatch):
+        counts = histogram({"0": 3, "1": 1}, 4)
+        exact = validate_distribution({"0": 0.75, "1": 0.25})
+        seen = []
+
+        def counting(mapping, what, *args, **kwargs):
+            seen.append(what)
+            return parse(mapping, what, *args, **kwargs)
+
+        parse = core.parse_bitstring_map
+        monkeypatch.setattr(core, "parse_bitstring_map", counting)
+        assert compare_runs(counts, exact).hellinger_distance == 0.0
+        assert seen == ["counts", "observed"]
+        seen.clear()
+        assert compare_runs(counts, exact, checked=True).reference_shots == 4
+        assert seen == []
+
+    def test_numpy_shots_still_compared(self):
+        # sample_counts keeps the shots it is given, a numpy int included.
+        state = execute(compile_to_circuit(worked_chain()))
+        counts = sample_counts(state, np.int64(100), 1)
+        assert compare_runs(counts, probabilities(state)).reference_shots == 100
 
     def test_metric_properties_random(self):
         rng = np.random.default_rng(314)

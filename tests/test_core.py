@@ -1,11 +1,17 @@
 """Statevector kernels, circuit execution, noise, and sampling."""
 
+import functools
 import json
 import math
+import operator
+import struct
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_chain
 from qmarkov import core
@@ -14,6 +20,7 @@ from qmarkov import (
     CapacityError,
     Circuit,
     Counts,
+    Distribution,
     GateOp,
     NoiseModel,
     RotationOrder,
@@ -684,6 +691,33 @@ class TestParseBitstringMap:
         width, index, values, total = core.parse_bitstring_map(mapping, "map")
         assert (width, index.tolist(), values.tolist()) == (2, [0, 1, 2], [1e-16, 1e-16, 1.0])
         assert total == 1.0 < sum(values.tolist())
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-9])
+                    | st.floats(0.0, 1.0) | st.floats(0.0, 1e-300), min_size=1, max_size=64),
+           st.sampled_from([0.0, -1e-9, 1e-9]), st.booleans())
+    @example([-0.0], 0.0, False)
+    @example([-0.0, -0.0, 0.0, -0.0], 0.0, False)
+    @example([0.1] * 10, 0.0, False)
+    @settings(max_examples=300, deadline=None)
+    def test_float_total_is_pythons_sum(self, values, off, near_one):
+        # The total of a float map is summed by numpy, one add after another;
+        # it must be Python's sum to the bit, sign of zero included.  On
+        # 3.10 and 3.11 that sum is sequential from the int 0; 3.12 made it
+        # compensated, so the sequential fold is the reference there.
+        if near_one and sum(values) > 0:
+            values = [v / sum(values) for v in values]
+            values[-1] += off
+            values = [max(v, 0.0) for v in values]
+        sequential = functools.reduce(operator.add, values, 0)
+        if sys.version_info < (3, 12):
+            assert struct.pack("<d", sum(values)) == struct.pack("<d", sequential)
+        width = max(len(values) - 1, 1).bit_length()
+        keys = [format(i, f"0{width}b") for i in range(len(values))][::-1]
+        for mapping in (Distribution(width, np.arange(len(values)), np.array(values)),
+                        dict(zip(keys, values))):
+            total = core.parse_bitstring_map(mapping, "map")[3]
+            assert type(total) is float
+            assert struct.pack("<d", total) == struct.pack("<d", sequential)
 
 
 class TestSampleCounts:
