@@ -188,9 +188,11 @@ def _distribution_pieces(dist: Distribution, head: str = "", tail: str = ""):
     """``head``, ``{"key": value, ...}`` over the support and ``tail``, as an
     iterator of str pieces: ``head + "{"``, one piece per chunk of at most
     ``_CHUNK`` entries, and ``"}" + tail``.  The value check runs and each
-    distinct value is formatted once before the iterator exists."""
-    integral = dist.probs.dtype.kind == "i"
-    probs = np.asarray(dist.probs, dtype=np.int64 if integral else np.float64)
+    distinct value is formatted once before the iterator exists.  A
+    hand-built ``dist`` may hold lists."""
+    probs = np.asarray(dist.probs)
+    integral = probs.dtype.kind == "i"
+    probs = np.asarray(probs, dtype=np.int64 if integral else np.float64)
     if not np.isfinite(probs).all():
         raise ValidationError("cannot serialize a non-finite probability")
     if not len(probs):
@@ -209,15 +211,16 @@ def _record_pieces(dist: Distribution, table: np.ndarray, inverse: np.ndarray):
     from ``table`` NUL-padded, ``, ``) whose NUL padding one mask drops.
     The last record loses its ``, ``."""
     key_bytes = max(dist.width, 1)  # bitstring_bytes gives S1 at width 0
+    support = np.asarray(dist.support)
     value_at = key_bytes + 4
     records = np.empty((min(len(inverse), _CHUNK), value_at + _VALUE_BYTES + 2), np.uint8)
     records[:, :value_at] = _record_head(key_bytes)
     records[:, -2:] = np.frombuffer(b", ", np.uint8)
     for start in range(0, len(inverse), _CHUNK):
-        support = dist.support[start : start + _CHUNK]
-        chunk = records[: len(support)]
-        keys = bitstring_bytes(support, dist.width).view(np.uint8)
-        chunk[:, 1 : value_at - 3] = keys.reshape(len(support), key_bytes)
+        index = support[start : start + _CHUNK]
+        chunk = records[: len(index)]
+        keys = bitstring_bytes(index, dist.width).view(np.uint8)
+        chunk[:, 1 : value_at - 3] = keys.reshape(len(index), key_bytes)
         del keys  # not held while the next chunk is made
         chunk[:, value_at:-2] = table[inverse[start : start + _CHUNK]]
         if start + _CHUNK >= len(inverse):
@@ -273,8 +276,8 @@ def read_json_layout(path):
     optional whitespace.  Keys have one width of 1-63 bits and strictly
     increasing indices; each value token is a JSON number of at most 24
     bytes, with a fraction or exponent in a probability map and at most 18
-    characters in counts.  Keys and tokens are gathered 2**16 entries at a time
-    through strided views, and identical tokens are grouped: each distinct one
+    characters in counts.  Keys and tokens are gathered ``_CHUNK`` entries at a
+    time through strided views, and identical tokens are grouped: each distinct one
     is checked by byte once, and one ``json.loads`` converts them all.
     Returns a ``Distribution``, or ``{"shots": int, "counts": Distribution}``
     of tallies, unchecked.

@@ -302,7 +302,7 @@ class Circuit:
                     )
 
 
-_CHUNK = 1 << 16  # amplitudes (1 MiB) per chunk of a run; entries per chunk of result text
+_CHUNK = 1 << 14  # amplitudes (256 KiB) per chunk of a run; entries per chunk of result text
 
 
 @functools.lru_cache(maxsize=1024)
@@ -310,7 +310,7 @@ def _layout(width, qubits):
     """How ``_block`` reads a run on ``qubits``, cached as runs repeat: the
     prefix's shape, an axis per run qubit and per span of other qubits; the
     order putting run axes first; a column's shape; and per chunk of at most
-    1 MiB, cut innermost axis first, each column's index, which drops the
+    256 KiB, cut innermost axis first, each column's index, which drops the
     chunk's size-1 axes (numpy loops over them more slowly)."""
     edges = [-1, *qubits, width]
     free = [1 << (hi - lo - 1) for lo, hi in zip(edges, edges[1:])]
@@ -329,9 +329,10 @@ def _block(state, width, ops):
     """Run ``ops``, all on one or two qubits, on ``state`` chunk by chunk.
 
     Each value c of the run qubits (the lowest-numbered one is the high bit
-    of c) has a column; ``where[c]`` is the column holding the amplitudes
-    whose run qubits read c.  H and U1 run on the columns, X and CNOT only
-    change ``where``, and one gather per chunk puts each column in place.
+    of c) has a column; ``where[c]`` is the row holding the amplitudes whose
+    run qubits read c.  Each chunk's columns are copied into the rows of one
+    contiguous buffer, H and U1 run on the rows, X and CNOT only change
+    ``where``, and the copy back puts row ``where[c]`` in column c.
     """
     qubits = tuple(sorted({q for op in ops for q in op.qubits}))
     where, steps = list(range(1 << len(qubits))), []
@@ -344,26 +345,25 @@ def _block(state, width, ops):
             phase = None if op.name == "H" else np.exp(1j * op.angle)
             pairs = [(where[c], where[c | flip]) for c in range(len(where)) if not c & flip]
             steps.append((phase, pairs))
-    moved = [c for c in range(len(where)) if where[c] != c]
     shape, axes, column, chunks = _layout(width, qubits)
     view = state.reshape(shape).transpose(axes)
+    buffer = np.empty([len(where), *column], dtype=np.complex128)
+    rows = [buffer[c, ...] for c in range(len(where))]  # views, even of 0-d rows
     diff = np.empty(column, dtype=np.complex128)
-    held = np.empty([len(moved), *column], dtype=np.complex128)
     for keys in chunks:
-        columns = [view[key] for key in keys]
+        for c, key in enumerate(keys):
+            rows[c][...] = view[key]
         for phase, pairs in steps:
             for lower, upper in pairs:
                 if phase is None:  # H
-                    np.subtract(columns[lower], columns[upper], out=diff)
-                    columns[lower] += columns[upper]
-                    columns[lower] *= _INV_SQRT2
-                    np.multiply(diff, _INV_SQRT2, out=columns[upper])
+                    np.subtract(rows[lower], rows[upper], out=diff)
+                    rows[lower] += rows[upper]
+                    rows[lower] *= _INV_SQRT2
+                    np.multiply(diff, _INV_SQRT2, out=rows[upper])
                 else:
-                    columns[upper] *= phase
-        for j, c in enumerate(moved):
-            held[j] = columns[where[c]]
-        for j, c in enumerate(moved):
-            columns[c][...] = held[j]
+                    rows[upper] *= phase
+        for c, key in enumerate(keys):
+            view[key] = rows[where[c]]
 
 
 def _grow(amps, width, new_width):

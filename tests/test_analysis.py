@@ -380,6 +380,13 @@ class TestJsonText:
         assert to_json_text(dist) == '{"01": 0.33333333333333331, "11": 0.66666666666666663}'
         assert json.loads(to_json_text(dist)) == dict(dist.items())
 
+    def test_hand_built_from_lists(self):
+        # A hand-built result may hold lists, which the comparisons accept.
+        dist = Distribution(1, [0], [1.0])
+        counts = Counts(1, [0, 1], [2, 3], 5)
+        assert to_json_text(dist) == '{"0": 1}'
+        assert to_json_text(counts) == '{"shots": 5, "counts": {"0": 2, "1": 3}}'
+
     def test_unserializable(self):
         with pytest.raises(TypeError):
             to_json_text(object())

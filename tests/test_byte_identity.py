@@ -243,7 +243,11 @@ def test_distribution_text_matches_reference(dist):
     assert to_json_text(dist) == reference_text(keyed(dist))
 
 
-@pytest.mark.parametrize("size", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+# The edges of the first chunk, and the same edges four chunks in.
+CHUNK_EDGES = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 4 * _CHUNK - 1, 4 * _CHUNK, 4 * _CHUNK + 1]
+
+
+@pytest.mark.parametrize("size", CHUNK_EDGES)
 def test_distribution_text_across_chunk_edges(size):
     rng = np.random.default_rng(size)
     width = 17
@@ -281,7 +285,7 @@ def test_counts_text_matches_reference(order):
     assert to_json_text(counts) == reference_text(expected)
 
 
-@pytest.mark.parametrize("size", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("size", CHUNK_EDGES)
 def test_report_text_across_chunk_edges(size):
     rng = np.random.default_rng(size + 1)
     width = 17

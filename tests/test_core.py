@@ -500,11 +500,11 @@ class TestGrowingPrefix:
             self.assert_same_as_full_width(compile_to_circuit(random_chain(rng, steps)))
 
     def test_compiled_chain_in_several_chunks(self):
-        # n = 18: the last run spans 2**18 amplitudes, four chunks.
-        assert (1 << 18) // core._CHUNK == 4
+        # n = 18: the last run spans 2**18 amplitudes, 16 chunks.
+        assert (1 << 18) // core._CHUNK == 16
         chain = BinaryMarkovChain((0.3, 0.7), ((0.6, 0.4), (0.2, 0.8)), 18)
         self.assert_same_as_full_width(compile_to_circuit(chain), seeds=(5,))
-        # Runs on other pairs, after H on every qubit: four chunks each, cut
+        # Runs on other pairs, after H on every qubit: 16 chunks each, cut
         # across the inner axis (q1, q2), the middle one (q0, q17) and the
         # outer one (q5, q6 and q8, q12).
         ops = [GateOp("H", (q,)) for q in range(18)]
@@ -596,16 +596,17 @@ class TestGrowingPrefix:
     )
     def test_peak_memory_of_one_op_on_any_qubits(self, last):
         # After H on every qubit of n = 20, one op on any qubits is a run of
-        # its own: only chunk-sized buffers sit beside the 16 MiB state, no
-        # half-state scratch and no state-sized copy of an overlapping operand.
+        # its own: only the chunk buffer and one column of scratch sit beside
+        # the 16 MiB state, no half-state scratch and no state-sized copy of
+        # an overlapping operand.
         circuit = Circuit(20, [*(GateOp("H", (q,)) for q in range(20)), last])
         execute(circuit)
-        assert self.traced_peak(lambda: execute(circuit)) <= 16 * (1 << 20) + 2 * (1 << 20)
+        assert self.traced_peak(lambda: execute(circuit)) <= 16 * (1 << 20) + 512 * 1024
 
     def test_peak_memory_of_compiled_chain_is_state_alone(self):
-        # Growth spreads the prefix in place and runs move no data for X
-        # and CNOT, so at n = 20 only chunk-sized buffers sit beside the
-        # 16 MiB state.
+        # Growth spreads the prefix in place and X and CNOT ride each
+        # chunk's copy back into the state, so at n = 20 only the chunk
+        # buffer and one column of scratch sit beside the 16 MiB state.
         chain = BinaryMarkovChain((0.3, 0.7), ((0.6, 0.4), (0.2, 0.8)), 20)
         circuit = compile_to_circuit(chain)
         for noise in (None, NoiseModel(0.2, 0.0)):
@@ -613,7 +614,7 @@ class TestGrowingPrefix:
                 execute(circuit, noise=noise, rng_seed=3)
 
             run_it()  # lazy imports on first use (numpy.random) are not execute's memory
-            assert self.traced_peak(run_it) <= 16 * (1 << 20) + 2 * (1 << 20)
+            assert self.traced_peak(run_it) <= 16 * (1 << 20) + 512 * 1024
 
 
 class TestCircuitValidation:

@@ -190,7 +190,9 @@ def test_layout_edges(tmp_path, monkeypatch, text):
     assert_paths_agree(tmp_path, monkeypatch, text)
 
 
-@pytest.mark.parametrize("entries", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+# The edges of the first chunk, and the same edges four chunks in.
+@pytest.mark.parametrize("entries", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                     4 * _CHUNK - 1, 4 * _CHUNK, 4 * _CHUNK + 1])
 @pytest.mark.parametrize("kind", ["distribution", "counts"])
 def test_chunk_edges(tmp_path, monkeypatch, entries, kind):
     rng = np.random.default_rng(entries)

@@ -11,7 +11,9 @@ import pytest
 from qmarkov import Counts, Distribution, FidelityReport, ValidationError, cli
 from qmarkov.analysis import _CHUNK, json_pieces, to_json_text
 
-SIZES = [0, 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK]
+# Empty, one entry, and chunk edges: the first, two whole chunks, four
+# chunks in, and eight whole chunks.
+SIZES = [0, 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 4 * _CHUNK, 4 * _CHUNK + 1, 8 * _CHUNK]
 WIDTH = 17
 
 
@@ -69,7 +71,7 @@ def test_fidelity_writes_the_text(capsys, tmp_path, monkeypatch, size):
     assert text == to_json_text(value) + "\n"
 
 
-@pytest.mark.parametrize("size", [0, 1, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("size", [0, 1, _CHUNK, _CHUNK + 1, 4 * _CHUNK, 4 * _CHUNK + 1])
 def test_one_piece_per_chunk(size):
     pieces = list(json_pieces(counts(size)))
     assert pieces[0] == '{"shots": 12345, "counts": ' + ("{}}" if not size else "{")
