@@ -1,12 +1,11 @@
 """Distribution utilities: counts normalization, the Hellinger metric with
 its fidelity complement, run-comparison reports, and the JSON text of
-results, written and read back as arrays."""
+results: written from arrays, and read back as arrays for probability maps."""
 
 import itertools
 import json
 import math
 import os
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,32 +258,24 @@ def to_json_text(value) -> str:
     return "".join(json_pieces(value))
 
 
-_NUMBER_BYTES = np.zeros(256, np.uint8)  # 0: a byte no number token holds
-_NUMBER_BYTES[list(b"-+0123456789\0")] = 1  # NUL: the padding
-_NUMBER_BYTES[list(b".eE")] = 2  # json.loads makes a float of a token with one of them
-_TALLY_BYTES = 18  # a tally token this short fits int64
-_ENVELOPE = re.compile(rb'\{"shots": (-?(?:0|[1-9][0-9]{0,17})), "counts": \{')
 _PREFIX = np.tri(_VALUE_BYTES + 1, _VALUE_BYTES, -1, np.uint8) * np.uint8(255)  # row k keeps k bytes
 
 
 def read_json_layout(path):
-    """A result file in exactly the layout ``to_json_text`` writes, read with
-    array operations; None for any other file.
+    """A probability map in exactly the layout ``to_json_text`` writes, read
+    with array operations; None for any other file.
 
     The layout is ``{"<bits>": <number>, ...}``, entries joined by ``", "``,
-    or ``{"shots": <int>, "counts": {...}}`` around such a body, then
-    optional whitespace.  Keys have one width of 1-63 bits and strictly
-    increasing indices; each value token is a JSON number of at most 24
-    bytes, with a fraction or exponent in a probability map and at most 18
-    characters in counts.  Keys and tokens are gathered ``_CHUNK`` entries at a
-    time through strided views, and identical tokens are grouped: each distinct one
-    is checked by byte once, and one ``json.loads`` converts them all.
-    Returns a ``Distribution``, or ``{"shots": int, "counts": Distribution}``
-    of tallies, unchecked.
+    then optional whitespace.  Keys have one width of 1-63 bits and strictly
+    increasing indices; each value token has at most 24 bytes and loads as a
+    JSON float.  A file that does not open with ``{"0`` or ``{"1``, such as
+    a counts object, is declined before a buffer is sized for it.  Keys and
+    tokens are gathered ``_CHUNK`` entries at a time through strided views,
+    and identical tokens are grouped, so one ``json.loads`` converts each
+    distinct one once.  Returns an unchecked ``Distribution``.
     """
     with open(path, "rb") as fh:
-        first = fh.read(64)
-        if not first.startswith(b'{"'):  # before sizing a buffer for the whole file
+        if fh.read(3) not in (b'{"0', b'{"1'):  # before sizing a buffer for the whole file
             return None
         size = os.fstat(fh.fileno()).st_size
         buf = np.zeros(size + _VALUE_BYTES, np.uint8)  # the zeros end every window
@@ -292,16 +283,12 @@ def read_json_layout(path):
         if fh.readinto(buf[:size]) != size:
             return None
     tail = bytes(buf[max(size - 64, 0) : size])
-    end = size - len(tail) + len(tail.rstrip(b" \t\n\r"))
-    envelope = _ENVELOPE.match(first)
-    lo, close = (envelope.end(), b"}}") if envelope else (1, b"}")
-    hi = end - len(close)
-    width = bytes(buf[lo + 1 : lo + 65]).find(b'"')
-    if (bytes(buf[lo - 1 : lo + 1]) != b'{"' or bytes(buf[hi:end]) != close
-            or not 1 <= width <= MAX_KEY_BITS):
+    hi = size - len(tail) + len(tail.rstrip(b" \t\n\r")) - 1
+    width = bytes(buf[2:66]).find(b'"')
+    if buf[hi] != ord("}") or not 1 <= width <= MAX_KEY_BITS:
         return None
-    commas = lo + np.flatnonzero(buf[lo:hi] == ord(","))
-    starts = np.concatenate(([lo], commas + 2))
+    commas = 1 + np.flatnonzero(buf[1:hi] == ord(","))
+    starts = np.concatenate(([1], commas + 2))
     lengths = np.append(commas, hi) - starts - (width + 4)  # of each value token
     if (buf[commas + 1] != ord(" ")).any() or not ((lengths > 0) & (lengths <= _VALUE_BYTES)).all():
         return None
@@ -327,16 +314,15 @@ def read_json_layout(path):
 
     rep, inverse = _group(tokens.view(np.uint64))  # identical tokens, by their three 8-byte words
     distinct = tokens[rep]
-    filled = np.count_nonzero(distinct, axis=1)  # a NUL in a token would pass as padding
-    dtype, longest = (np.int64, _TALLY_BYTES) if envelope else (np.float64, _VALUE_BYTES)
-    kind = _NUMBER_BYTES[distinct]
-    if ((kind == 0).any() or ((kind == 2).any(axis=1) == bool(envelope)).any()
-            or (filled > longest).any() or (filled[inverse] != lengths).any()):
+    if (np.count_nonzero(distinct, axis=1)[inverse] != lengths).any():  # a NUL would pass as padding
         return None
     listed = np.insert(distinct, 0, ord(","), axis=1)  # ",token" rows; the mask drops the padding
     try:
         values = json.loads(b"[%s]" % listed[listed != 0].tobytes()[1:])
     except ValueError:
         return None
-    dist = Distribution(width, index, np.array(values, dtype)[inverse])
-    return {"shots": int(envelope[1]), "counts": dist} if envelope else dist
+    # Only floats: a string, array or object could hold a comma, and so
+    # more than one token.
+    if set(map(type, values)) != {float}:
+        return None
+    return Distribution(width, index, np.array(values)[inverse])

@@ -150,9 +150,10 @@ def cmd_oracle(args) -> int:
 def _load_result(path):
     """Parse a result file: a counts object or a bitstring->probability map.
 
-    A file in the layout ``to_json_text`` writes is read as arrays; any other
-    goes through ``json.load``.  Both then take the same checks, so they give
-    the same arrays and the same errors.
+    A probability map in the layout ``to_json_text`` writes is read as
+    arrays; any other file, counts included, goes through ``json.load``.
+    Both then take the same checks, so they give the same arrays and the
+    same errors.
     """
     data = read_json_layout(path)
     if data is None:

@@ -445,9 +445,8 @@ class Counts(Distribution):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Counts":
-        """Check a parsed counts object.  Its ``counts`` may also be the
-        ``Distribution`` of tallies that the result-file reader builds
-        straight from the text."""
+        """Check a parsed counts object.  Its ``counts`` may also be a
+        ``Distribution`` of tallies, as ``Counts`` sides are re-checked."""
         if not isinstance(data, dict) or set(data) != {"shots", "counts"}:
             raise ValidationError("counts JSON needs exactly the keys 'shots' and 'counts'")
         shots = data["shots"]

@@ -203,6 +203,10 @@ class TestValidateDistribution:
         with pytest.raises(ValidationError):
             validate_distribution({"0z": 1.0})
 
+    def test_key_not_a_string(self):
+        with pytest.raises(ValidationError, match="key that is not a bitstring"):
+            validate_distribution({1: 1.0})
+
     @staticmethod
     def message(value):
         with pytest.raises(ValidationError) as info:

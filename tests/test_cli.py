@@ -345,6 +345,17 @@ class TestFidelity:
         assert (code, out) == (2, "")
         assert "counts JSON needs exactly the keys 'shots' and 'counts'" in err
 
+    @pytest.mark.parametrize(("data", "message"), [
+        ({"é": 1.0}, "malformed bitstring 'é'"),
+        ({"shots": 1, "counts": [1]}, "'counts' must be an object"),
+    ], ids=["non-ascii-key", "counts-not-an-object"])
+    def test_malformed_content_named(self, capsys, tmp_path, data, message):
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(capsys, "fidelity", str(path), str(path))
+        assert (code, out) == (2, "")
+        assert message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("count", [2**63, 2**70])
     def test_count_beyond_int64_refused(self, capsys, tmp_path, count):
         path = tmp_path / "counts.json"

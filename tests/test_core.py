@@ -92,6 +92,10 @@ class TestStatevectorInvariants:
         with pytest.raises(ValidationError):
             Statevector(1, np.array([1.0, 1.0]))
 
+    def test_num_qubits_positive(self):
+        with pytest.raises(ValidationError, match="num_qubits must be >= 1"):
+            Statevector(0, np.array([1.0]))
+
     def test_constructor_checks_what_execute_skips(self):
         with pytest.raises(ValidationError):
             Statevector(3, np.full(8, 1.0 / math.sqrt(8)) * (1 + 1e-9))

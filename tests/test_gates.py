@@ -59,6 +59,13 @@ class TestStandardGates:
         with pytest.raises(ValidationError):
             standard_gate("T")
 
+    def test_unknown_primitive_op(self):
+        with pytest.raises(ValidationError, match="unknown primitive"):
+            GateOp("Y", (0,))
+
+    def test_non_square_is_not_unitary(self):
+        assert is_unitary(np.eye(2, 3)) is False
+
 
 class TestRotationOrder:
     def test_n_equivalent(self):

@@ -50,6 +50,10 @@ class TestChainValidation:
         with pytest.raises(ValidationError):
             BinaryMarkovChain((0.5, 0.5), ((1.0, 0.0), (0.0, 1.0)), 0)
 
+    def test_shape_enforced(self):
+        with pytest.raises(ValidationError, match="2 initial weights"):
+            BinaryMarkovChain((1.0,), ((1.0, 0.0), (0.0, 1.0)), 2)
+
 
 class TestChainSpecFile:
     def test_load(self, chain_spec_file):
@@ -222,6 +226,11 @@ class TestHittingStats:
         prob, mean = hitting_stats(chain, 1)
         assert prob == 1.0
         assert mean == pytest.approx(4.0)
+
+    def test_state_out_of_range(self):
+        chain = BinaryMarkovChain((0.5, 0.5), ((1.0, 0.0), (0.5, 0.5)), 2)
+        with pytest.raises(ValidationError, match="absorbing_state must be 0 or 1"):
+            hitting_stats(chain, 2)
 
 
 class TestClassifyStates:

@@ -89,14 +89,12 @@ def keyed(dist) -> list:
 @example(Distribution(1, np.array([1]), np.array([-2.2250738585072014e-308])))  # 24 bytes
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_canonical_text(tmp_path, monkeypatch, result):
-    # Every file to_json_text writes is read as arrays; ints in a
-    # probability map ("1", "0", "-0") are left to json.load.
-    # Tallies and shots of more than 18 digits are left to it too.
+    # Every probability map to_json_text writes is read as arrays, but ints
+    # in it ("1", "0", "-0") are left to json.load, and so is every counts
+    # object.
     text = to_json_text(result) + "\n"
-    if isinstance(result, Counts):
-        accepted = all(len(str(v)) <= 18 for v in [abs(result.shots), *result.probs.tolist()])
-    else:
-        accepted = all(set(format(v, ".17g")) & set(".e") for v in result.probs.tolist())
+    accepted = not isinstance(result, Counts) and all(
+        set(format(v, ".17g")) & set(".e") for v in result.probs.tolist())
     assert_paths_agree(tmp_path, monkeypatch, text, accepted=accepted)
 
 
@@ -122,8 +120,9 @@ def test_json_dumps_variants(tmp_path, monkeypatch, result, data):
 
 
 TOKENS = ["1E-5", "1e-5", "1e999", "-1e999", "-0.0", "0.0", "0", "1", "-0", "01", "1.", ".5",
-          "+1.0", "1.0e+2", "1.0E-02", "NaN", "Infinity", "0x1", "1_0", "0.1" + "0" * 30,
-          "01.5", '"0.5"', "true", "null", "0.5\0", "0.\x005", "１.0"]
+          "+1.0", "1.0e+2", "1.0E-02", "NaN", "Infinity", "-Infinity", "0x1", "1_0",
+          "0.1" + "0" * 30, "01.5", '"0.5"', "true", "null", "0.5\0", "0.\x005", "１.0",
+          " 0.5", "0.5 ", "0.5\n", "[0.5]", '"a', "{}"]
 JUNK = ["", "\n", "x", "}", ",", " ", "﻿", "\0"]
 
 
@@ -140,6 +139,10 @@ JUNK = ["", "\n", "x", "}", ",", " ", "﻿", "\0"]
 @example(["01", "1"], "", "", 2)
 @example(["01.5", "0.5"], "", "", None)
 @example(["true", "0.5"], "", "", None)  # JSON but not a number, with an "e" in it
+@example([" 0.5", "0.5\n"], "", "", None)  # floats with whitespace around them
+@example(["NaN", "0.5"], "", "", None)
+@example(['"a', 'b"'], "", "", None)  # one string over two tokens
+@example(["[0.5", "0.5]"], "", "", None)  # one array over two tokens
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_odd_tokens_and_junk(tmp_path, monkeypatch, tokens, head, tail, shots):
     width = max(len(tokens) - 1, 0).bit_length() or 1
@@ -195,6 +198,8 @@ def test_layout_edges(tmp_path, monkeypatch, text):
                                      4 * _CHUNK - 1, 4 * _CHUNK, 4 * _CHUNK + 1])
 @pytest.mark.parametrize("kind", ["distribution", "counts"])
 def test_chunk_edges(tmp_path, monkeypatch, entries, kind):
+    # A probability map is read as arrays and a counts object declined;
+    # either way _load_result gives back the arrays that were written.
     rng = np.random.default_rng(entries)
     support = np.sort(rng.choice(1 << 18, entries, replace=False))
     if kind == "counts":
@@ -203,20 +208,27 @@ def test_chunk_edges(tmp_path, monkeypatch, entries, kind):
     else:
         probs = rng.random(entries) ** 4 + 1e-9
         result = Distribution(18, support, probs / probs.sum())
-    assert_paths_agree(tmp_path, monkeypatch, to_json_text(result) + "\n", accepted=True)
+    text = to_json_text(result) + "\n"
+    assert_paths_agree(tmp_path, monkeypatch, text, accepted=kind == "distribution")
+    loaded = cli._load_result(tmp_path / "result.json")
+    assert type(loaded) is type(result) and loaded.width == result.width
+    assert getattr(loaded, "shots", None) == getattr(result, "shots", None)
+    assert loaded.support.tobytes() == result.support.tobytes()
+    assert loaded.probs.dtype == result.probs.dtype
+    assert loaded.probs.tobytes() == result.probs.tobytes()
 
 
 def test_canonical_file_never_falls_back(tmp_path, monkeypatch, capsys):
     dist = Distribution(3, np.arange(8), np.full(8, 0.125))
-    counts = Counts(3, np.array([1, 6]), np.array([3, 5]), 8)
-    for name, result in (("d.json", dist), ("c.json", counts)):
+    other = Distribution(3, np.array([1, 6]), np.array([0.375, 0.625]))
+    for name, result in (("d.json", dist), ("e.json", other)):
         (tmp_path / name).write_text(to_json_text(result) + "\n", encoding="utf-8")
 
     def refuse(*args, **kwargs):
         raise AssertionError("json.load on a file in the layout")
 
     monkeypatch.setattr(json, "load", refuse)
-    assert cli.main(["fidelity", str(tmp_path / "d.json"), str(tmp_path / "c.json")]) == 0
+    assert cli.main(["fidelity", str(tmp_path / "d.json"), str(tmp_path / "e.json")]) == 0
     report = capsys.readouterr().out
     monkeypatch.undo()
     assert json.loads(report)["diffs"]["001"] == 0.25
@@ -277,6 +289,27 @@ def test_other_layout_declined_before_reading_it_all(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 64 << 10
+
+
+def test_counts_file_declined_on_first_bytes(tmp_path):
+    # A counts object opens with '{"s', so the reader declines it before it
+    # sizes a buffer for the file, and json.load reads it.
+    rng = np.random.default_rng(5)
+    tallies = rng.integers(1, 1000, 1 << 16)
+    counts = Counts(16, np.arange(1 << 16), tallies, int(tallies.sum()))
+    path = tmp_path / "counts.json"
+    path.write_text(to_json_text(counts) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert read_json_layout(path) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    loaded = cli._load_result(path)
+    assert isinstance(loaded, Counts) and loaded.shots == counts.shots
+    assert loaded.support.tolist() == counts.support.tolist()
+    assert loaded.probs.tolist() == counts.probs.tolist()
 
 
 def assert_groups(keys, first, inverse):
