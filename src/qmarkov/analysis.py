@@ -137,7 +137,7 @@ def _owners(rows: np.ndarray, index: np.ndarray, mult: np.uint64) -> np.ndarray:
         slot *= mult
     slot >>= np.uint64(64 - bits)
     slot = slot.view(np.int64)  # numpy casts uint64 indices, but not int64 ones
-    owner = np.empty(1 << bits, np.intp)
+    owner = np.empty(1 << bits, index.dtype)
     owner[slot] = index
     return owner[slot]
 
@@ -151,12 +151,14 @@ def _group(keys: np.ndarray):
     its slot owner's group only if the two are equal word for word, so
     groups are exact, and equal keys share a slot, so a group is settled in
     one round.  The keys a round leaves go to the next, and as every slot's
-    owner is settled, the rounds end.
+    owner is settled, the rounds end.  Positions are int32 while they fit,
+    which halves the owner table and the gathers.
     """
     rows = keys[:, None] if keys.ndim == 1 else keys
     words = rows.T
     is_first = np.zeros(len(keys), bool)
-    todo, sub, inverse = np.arange(len(keys)), rows, None
+    position = np.int32 if len(keys) < 2**31 else np.intp
+    todo, sub, inverse = np.arange(len(keys), dtype=position), rows, None
     for mult in itertools.cycle(_GROUP_ROUNDS):
         cand = _owners(sub, todo, mult)
         is_first[cand] = True  # every owner is in its own group
@@ -260,61 +262,89 @@ def to_json_text(value) -> str:
 
 _PREFIX = np.tri(_VALUE_BYTES + 1, _VALUE_BYTES, -1, np.uint8) * np.uint8(255)  # row k keeps k bytes
 
+_SLICE = 16 * _CHUNK  # bytes read at a time: 256 KiB, the size of core._block's chunk buffer
+
 
 def read_json_layout(path):
     """A probability map in exactly the layout ``to_json_text`` writes, read
     with array operations; None for any other file.
 
     The layout is ``{"<bits>": <number>, ...}``, entries joined by ``", "``,
-    then optional whitespace.  Keys have one width of 1-63 bits and strictly
-    increasing indices; each value token has at most 24 bytes and loads as a
-    JSON float.  A file that does not open with ``{"0`` or ``{"1``, such as
-    a counts object, is declined before a buffer is sized for it.  Keys and
-    tokens are gathered ``_CHUNK`` entries at a time through strided views,
-    and identical tokens are grouped, so one ``json.loads`` converts each
-    distinct one once.  Returns an unchecked ``Distribution``.
+    then at most 64 bytes of whitespace.  Keys have one width of 1-63 bits
+    and strictly increasing indices; each value token has at most 24 bytes
+    and loads as a JSON float.  A file that does not open with ``{"0`` or
+    ``{"1``, such as a counts object, is declined on its first bytes.  The
+    file is read ``_SLICE`` bytes at a time into one buffer, and the bytes
+    after a slice's last comma are carried to the front of the next, so
+    each slice is scanned and its keys and tokens gathered while it is in
+    cache.  Identical tokens are then grouped, so one ``json.loads``
+    converts each distinct one once.  Returns an unchecked
+    ``Distribution``.
     """
     with open(path, "rb") as fh:
-        if fh.read(3) not in (b'{"0', b'{"1'):  # before sizing a buffer for the whole file
+        opening = fh.read(66)
+        if opening[:3] not in (b'{"0', b'{"1'):
             return None
         size = os.fstat(fh.fileno()).st_size
-        buf = np.zeros(size + _VALUE_BYTES, np.uint8)  # the zeros end every window
-        fh.seek(0)
-        if fh.readinto(buf[:size]) != size:
+        fh.seek(max(size - 65, 0))
+        tail = fh.read(65)  # the closing brace and at most 64 bytes of whitespace
+        body = tail.rstrip(b" \t\n\r")
+        width = opening.find(b'"', 2) - 2
+        if not body.endswith(b"}") or not 1 <= width <= MAX_KEY_BITS:
             return None
-    tail = bytes(buf[max(size - 64, 0) : size])
-    hi = size - len(tail) + len(tail.rstrip(b" \t\n\r")) - 1
-    width = bytes(buf[2:66]).find(b'"')
-    if buf[hi] != ord("}") or not 1 <= width <= MAX_KEY_BITS:
-        return None
-    commas = 1 + np.flatnonzero(buf[1:hi] == ord(","))
-    starts = np.concatenate(([1], commas + 2))
-    lengths = np.append(commas, hi) - starts - (width + 4)  # of each value token
-    if (buf[commas + 1] != ord(" ")).any() or not ((lengths > 0) & (lengths <= _VALUE_BYTES)).all():
+        hi = size - len(tail) + len(body) - 1  # the closing brace
+
+        # Each record is a space (the "{" stands in for the first one), the
+        # head and then the value token, which is cut at its length and
+        # NUL-padded.  Byte minus head is 0, or 0-1 in a key.
+        record = width + 4 + _VALUE_BYTES  # head and the longest token
+        template = _record_head(width)
+        limit = (template == ord("0")).view(np.uint8)
+        most = hi // (width + 7) + 1  # records of a space, head, one byte and "," each
+        index = np.empty(most, np.int64)
+        tokens = np.empty((most, _VALUE_BYTES), np.uint8)
+        sizes = np.empty(most, np.uint8)  # of each value token
+        buf = np.empty(1 + record + min(_SLICE, hi) + _VALUE_BYTES, np.uint8)  # padded to end every window
+        windows = sliding_window_view(buf, record)
+        buf[0] = ord(" ")
+        fh.seek(1)
+        kept, left, count = 1, hi - 1, 0  # bytes carried, bytes to read, records so far
+        while left:
+            step = min(_SLICE, left)
+            if fh.readinto(buf[kept : kept + step]) != step:
+                return None
+            left -= step
+            end = kept + step
+            ends = 1 + np.flatnonzero(buf[1:end] == ord(","))
+            cut = ends[-1] + 1 if len(ends) else 0  # the bytes carried to the next slice start here
+            if left and end - cut > 1 + record:
+                return None  # a record longer than any in the layout
+            if not left:
+                ends = np.append(ends, end)  # the closing brace ends the last record
+            if len(ends):
+                starts = np.concatenate(([1], ends[:-1] + 2))
+                lengths = ends - starts - (width + 4)  # of each value token
+                if (buf[starts - 1] != ord(" ")).any() or not (
+                        (lengths > 0) & (lengths <= _VALUE_BYTES)).all():
+                    return None
+                rec = windows[starts]
+                head = rec[:, : width + 4] - template
+                if (head > limit).any():
+                    return None
+                done = slice(count, count + len(starts))
+                index[done] = bits_index(head[:, 1 : width + 1])
+                tokens[done] = rec[:, width + 4 :]
+                tokens[done] &= _PREFIX[lengths]
+                sizes[done] = lengths
+                count = done.stop
+            kept = end - cut
+            buf[:kept] = buf[cut:end]
+    if not (index[1:count] > index[: count - 1]).all():
         return None
 
-    # Each record is the head and then the value token, which is cut at its
-    # length and NUL-padded.  Byte minus head is 0, or 0-1 in a key.
-    records = sliding_window_view(buf, width + 4 + _VALUE_BYTES)
-    template = _record_head(width)
-    limit = (template == ord("0")).view(np.uint8)
-    index = np.empty(len(starts), np.int64)
-    tokens = np.empty((len(starts), _VALUE_BYTES), np.uint8)
-    for at in range(0, len(starts), _CHUNK):
-        chunk = slice(at, at + _CHUNK)
-        rec = records[starts[chunk]]
-        head = rec[:, : width + 4] - template
-        if (head > limit).any():
-            return None
-        index[chunk] = bits_index(head[:, 1 : width + 1])
-        tokens[chunk] = rec[:, width + 4 :]
-        tokens[chunk] &= _PREFIX[lengths[chunk]]
-    if not (index[1:] > index[:-1]).all():
-        return None
-
-    rep, inverse = _group(tokens.view(np.uint64))  # identical tokens, by their three 8-byte words
+    rep, inverse = _group(tokens[:count].view(np.uint64))  # identical tokens, by their three 8-byte words
     distinct = tokens[rep]
-    if (np.count_nonzero(distinct, axis=1)[inverse] != lengths).any():  # a NUL would pass as padding
+    if (np.count_nonzero(distinct, axis=1)[inverse] != sizes[:count]).any():  # a NUL would pass as padding
         return None
     listed = np.insert(distinct, 0, ord(","), axis=1)  # ",token" rows; the mask drops the padding
     try:
@@ -325,4 +355,5 @@ def read_json_layout(path):
     # more than one token.
     if set(map(type, values)) != {float}:
         return None
-    return Distribution(width, index, np.array(values)[inverse])
+    # An exact-size copy: the keys array was sized for ``most`` entries.
+    return Distribution(width, index[:count].copy(), np.array(values)[inverse])

@@ -218,6 +218,99 @@ def test_chunk_edges(tmp_path, monkeypatch, entries, kind):
     assert loaded.probs.tobytes() == result.probs.tobytes()
 
 
+# Tokens of 3 to 24 bytes, so records differ in length and slice edges fall
+# at every offset of some record.
+SLICED = Distribution(4, np.array([0, 1, 2, 3, 5, 8, 13, 14, 15]), np.array(
+    [0.5, 0.25, 0.125, 1e-300, -2.2250738585072014e-308, 0.0625, 1 / 3, 2 / 3, 0.03125]))
+
+
+def assert_sliced_read(tmp_path, monkeypatch, text, slice_bytes, accepted):
+    """Read with ``slice_bytes`` per slice: the array reader and ``json.load``
+    agree, the file is accepted or declined as at the default slice size, and
+    an accepted file gives the same arrays."""
+    path = tmp_path / "result.json"
+    path.write_text(text, encoding="utf-8")
+    whole = read_json_layout(path)
+    assert (whole is not None) == accepted
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_SLICE", slice_bytes)
+        assert_paths_agree(tmp_path, monkeypatch, text, accepted=accepted)
+        sliced = read_json_layout(path)
+    if accepted:
+        assert sliced.width == whole.width
+        assert sliced.support.tobytes() == whole.support.tobytes()
+        assert sliced.probs.tobytes() == whole.probs.tobytes()
+
+
+@pytest.mark.parametrize("slice_bytes", [1, 2, 3, 5, 8, 13, 31, 32, 33, 64, 1 << 12])
+def test_slice_edges(tmp_path, monkeypatch, slice_bytes):
+    # One byte per slice puts an edge after every byte; the rest are shorter
+    # and longer than one record, so edges land at shifting offsets.
+    text = to_json_text(SLICED) + "\n"
+    assert_sliced_read(tmp_path, monkeypatch, text, slice_bytes, accepted=True)
+
+
+def test_comma_ends_a_slice(tmp_path, monkeypatch):
+    # The first slice holds bytes 1 to slice_bytes, so a slice of c bytes
+    # ends on the comma at c and the next slice opens with its space.
+    text = to_json_text(SLICED)
+    commas = [at for at, byte in enumerate(text) if byte == ","]
+    assert len(commas) == len(SLICED.support) - 1
+    for comma in commas:
+        assert_sliced_read(tmp_path, monkeypatch, text, comma, accepted=True)
+    no_space = text[: commas[3] + 1] + "\n" + text[commas[3] + 2 :]
+    assert_sliced_read(tmp_path, monkeypatch, no_space, commas[3], accepted=False)
+
+
+@pytest.mark.parametrize("text", ['{"1": 1.0}', '{"0": 0.5}\n', '{"' + "1" * 63 + '": 1.0}'])
+def test_one_record(tmp_path, monkeypatch, text):
+    for slice_bytes in range(1, len(text) + 2):
+        assert_sliced_read(tmp_path, monkeypatch, text, slice_bytes, accepted=True)
+
+
+@pytest.mark.parametrize("spaces", [63, 64, 65, 200])
+def test_trailing_whitespace(tmp_path, monkeypatch, spaces):
+    # The last 65 bytes are read before the slices: at most 64 bytes of
+    # whitespace may follow the closing brace.
+    text = to_json_text(SLICED) + " \n" * (spaces // 2) + " " * (spaces % 2)
+    for slice_bytes in (1, 7, 1 << 12):
+        assert_sliced_read(tmp_path, monkeypatch, text, slice_bytes, accepted=spaces <= 64)
+
+
+@pytest.mark.parametrize("slice_bytes", [1, 7, 30, 1 << 12])
+@pytest.mark.parametrize("long", ["0." + "1" * 40, "0.5" + " " * 40, "0." + "1" * 23])
+def test_record_longer_than_the_layout(tmp_path, monkeypatch, slice_bytes, long):
+    # A token over 24 bytes is declined whether it ends in the slice or is
+    # carried over more than one record's bytes; the 25-byte token is one
+    # over the limit, and the padded one is JSON that json.load reads.
+    text = to_json_text(SLICED)
+    first, rest = text.split(",", 1)
+    text = first[: first.index(":") + 2] + long + "," + rest
+    assert_sliced_read(tmp_path, monkeypatch, text, slice_bytes, accepted=False)
+
+
+def test_reader_memory(tmp_path):
+    # The file is read through one slice buffer, so the traced peak is the
+    # token rows, keys and grouping: under 2.5 times the file (a whole-file
+    # buffer made it 3.2x).  The result holds 16 bytes per entry, and nothing
+    # sized by the file outlives the call.
+    width = 18
+    rng = np.random.default_rng(18)
+    probs = rng.choice(rng.random(6000), size=1 << width)
+    path = tmp_path / "big.json"
+    path.write_text(to_json_text(Distribution(width, np.arange(1 << width), probs / probs.sum())),
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        result = read_json_layout(path)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result is not None and len(result.support) == 1 << width
+    assert peak < 2.5 * path.stat().st_size
+    assert live <= 16 * (1 << width) + (64 << 10)
+
+
 def test_canonical_file_never_falls_back(tmp_path, monkeypatch, capsys):
     dist = Distribution(3, np.arange(8), np.full(8, 0.125))
     other = Distribution(3, np.array([1, 6]), np.array([0.375, 0.625]))
