@@ -121,6 +121,13 @@ def compare_runs(reference, observed, *, checked: bool = False) -> FidelityRepor
 _VALUE_BYTES = 24  # every %.17g float and %d int64 fits, e.g. -2.2250738585072014e-308
 
 
+def _take_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The ``_VALUE_BYTES``-byte rows of ``table``, a ``V24`` array, at
+    ``index`` as uint8 rows: a 1-D take of 24-byte items, about twice as
+    fast as fancy indexing rows of a 2-D uint8 table."""
+    return table.take(index).view(np.uint8).reshape(-1, _VALUE_BYTES)
+
+
 _GROUP_ROUNDS = tuple(map(np.uint64, (0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0xD6E8FEB86659FD93)))
 
 
@@ -202,7 +209,7 @@ def _distribution_pieces(dist: Distribution, head: str = "", tail: str = ""):
     first, inverse = _group(probs.view(np.uint64))
     fmt = b"%-24d" if integral else b"%-24.17g"
     padded = (fmt * len(first)) % tuple(probs[first].tolist())
-    table = np.frombuffer(padded.replace(b" ", b"\0"), np.uint8).reshape(-1, _VALUE_BYTES)
+    table = np.frombuffer(padded.replace(b" ", b"\0"), f"V{_VALUE_BYTES}")
     return itertools.chain((head + "{",), _record_pieces(dist, table, inverse), ("}" + tail,))
 
 
@@ -223,7 +230,7 @@ def _record_pieces(dist: Distribution, table: np.ndarray, inverse: np.ndarray):
         keys = bitstring_bytes(index, dist.width).view(np.uint8)
         chunk[:, 1 : value_at - 3] = keys.reshape(len(index), key_bytes)
         del keys  # not held while the next chunk is made
-        chunk[:, value_at:-2] = table[inverse[start : start + _CHUNK]]
+        chunk[:, value_at:-2] = _take_rows(table, inverse[start : start + _CHUNK])
         if start + _CHUNK >= len(inverse):
             chunk[-1, -2:] = 0
         yield str(chunk[chunk != 0], "ascii")
@@ -260,7 +267,9 @@ def to_json_text(value) -> str:
     return "".join(json_pieces(value))
 
 
-_PREFIX = np.tri(_VALUE_BYTES + 1, _VALUE_BYTES, -1, np.uint8) * np.uint8(255)  # row k keeps k bytes
+# Row k keeps k bytes of a token, as one V24 item.
+_PREFIX = (np.tri(_VALUE_BYTES + 1, _VALUE_BYTES, -1, np.uint8) * np.uint8(255)).view(
+    f"V{_VALUE_BYTES}").reshape(-1)
 
 _SLICE = 16 * _CHUNK  # bytes read at a time: 256 KiB, the size of core._block's chunk buffer
 
@@ -334,7 +343,7 @@ def read_json_layout(path):
                 done = slice(count, count + len(starts))
                 index[done] = bits_index(head[:, 1 : width + 1])
                 tokens[done] = rec[:, width + 4 :]
-                tokens[done] &= _PREFIX[lengths]
+                tokens[done] &= _take_rows(_PREFIX, lengths)
                 sizes[done] = lengths
                 count = done.stop
             kept = end - cut

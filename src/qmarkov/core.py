@@ -325,7 +325,7 @@ def _layout(width, qubits):
     return shape, axes, [t for t in takes if t > 1], chunks
 
 
-def _block(state, width, ops):
+def _block(state, width, ops, fresh=0):
     """Run ``ops``, all on one or two qubits, on ``state`` chunk by chunk.
 
     Each value c of the run qubits (the lowest-numbered one is the high bit
@@ -333,6 +333,14 @@ def _block(state, width, ops):
     run qubits read c.  Each chunk's columns are copied into the rows of one
     contiguous buffer, H and U1 run on the rows, X and CNOT only change
     ``where``, and the copy back puts row ``where[c]`` in column c.
+
+    With ``fresh`` > 0 the run also grows the prefix, as ``_grow`` would:
+    the lowest ``fresh`` bits of ``width`` are new qubits in |0>, and the
+    run's qubits are the lowest bits of ``width``, so each chunk is a block
+    of the state.  Its rows with the new qubits at 0 are copied from the
+    old prefix, ``state[: state.size >> fresh]``, and the others set to
+    +0.0.  Chunks run top down: a chunk writes only where the chunks below
+    it never read.
     """
     qubits = tuple(sorted({q for op in ops for q in op.qubits}))
     where, steps = list(range(1 << len(qubits))), []
@@ -350,9 +358,15 @@ def _block(state, width, ops):
     buffer = np.empty([len(where), *column], dtype=np.complex128)
     rows = [buffer[c, ...] for c in range(len(where))]  # views, even of 0-d rows
     diff = np.empty(column, dtype=np.complex128)
-    for keys in chunks:
+    old = state[: state.size >> fresh].reshape(-1, len(where) >> fresh)
+    for keys in reversed(chunks):
         for c, key in enumerate(keys):
-            rows[c][...] = view[key]
+            if not fresh:
+                rows[c][...] = view[key]
+            elif c % (1 << fresh):
+                rows[c][...] = 0
+            else:  # key[len(qubits)] is the chunk's cut of the one outer axis
+                rows[c][...] = old[key[len(qubits)], c >> fresh]
         for phase, pairs in steps:
             for lower, upper in pairs:
                 if phase is None:  # H
@@ -407,9 +421,7 @@ def execute(
     # Untouched qubits are |0>: ops run on the prefix of qubits 0..width-1.
     width, ops, i = 0, circuit.ops, 0
     while i < len(ops):
-        if (top := max(ops[i].qubits) + 1) > width:
-            _grow(amps, width, top)
-            width = top
+        before, width = width, max(width, max(ops[i].qubits) + 1)
         # A run: ops in a row on at most two live qubits.  While width <= 2
         # it is one op, as a run on both qubits would have length-1 columns,
         # on which numpy's complex multiply rounds differently.
@@ -418,10 +430,17 @@ def execute(
                and len(qubits := qubits | {*ops[end].qubits}) <= 2):
             end += 1
         run = ops[i:end]
+        # The run's gather grows the prefix when the new qubits are its own
+        # and its qubits are the lowest bits of the new width; else _grow.
+        live = {q for op in run for q in op.qubits}
+        low = width - len(live)
+        fresh = width - before if low <= before and live == set(range(low, width)) else 0
+        if width > before and not fresh:
+            _grow(amps, before, width)
         if rng is not None:  # each op, then an X on each qubit its gate noise flips
             xs = [[GateOp("X", (q,)) for q in op.qubits if rng.random() < flip_prob] for op in run]
             run = [x for op, flips in zip(run, xs) for x in (op, *flips)]
-        _block(amps[: 1 << width], width, run)
+        _block(amps[: 1 << width], width, run, fresh)
         i = end
     if width < n:
         _grow(amps, width, n)

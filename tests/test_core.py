@@ -543,25 +543,95 @@ class TestGrowingPrefix:
         for num_qubits in (1, 2, 5):
             self.assert_same_as_full_width(Circuit(num_qubits, []))
 
+    @staticmethod
+    def record_kernels(monkeypatch):
+        """Record each ``_block`` run as (ops, amplitudes, fresh qubits) and
+        each ``_grow`` as (width, new width)."""
+        runs, grows = [], []
+
+        def block(state, width, ops, fresh=0, kernel=core._block):
+            runs.append((len(ops), state.size, fresh))
+            kernel(state, width, ops, fresh)
+
+        def grow(amps, width, new_width, spread=core._grow):
+            grows.append((width, new_width))
+            spread(amps, width, new_width)
+
+        monkeypatch.setattr(core, "_block", block)
+        monkeypatch.setattr(core, "_grow", grow)
+        return runs, grows
+
     def test_work_follows_touched_qubits(self, monkeypatch):
-        runs = []  # (ops, amplitudes) per run
-
-        def record(state, width, ops, kernel=core._block):
-            runs.append((len(ops), state.size))
-            kernel(state, width, ops)
-
-        monkeypatch.setattr(core, "_block", record)
+        runs, grows = self.record_kernels(monkeypatch)
         chain = BinaryMarkovChain((0.3, 0.7), ((0.6, 0.4), (0.2, 0.8)), 12)
         execute(compile_to_circuit(chain))
         # The initial rotation acts on q0 alone; pair block t is 16 ops on
         # q_t and q_t+1, the first of which is on q_t+1.  Block 0 (four
         # amplitudes, width 2) runs one op at a time, every later block as
         # one run.
-        assert runs[:3] == [(1, 2)] * 3
-        assert runs[3:19] == [(1, 4)] * 16
-        assert runs[19:] == [(16, 1 << (t + 2)) for t in range(1, 11)]
+        assert runs[:3] == [(1, 2, 1)] + [(1, 2, 0)] * 2
+        assert runs[3:19] == [(1, 4, 1)] + [(1, 4, 0)] * 15
+        assert runs[19:] == [(16, 1 << (t + 2), 1) for t in range(1, 11)]
         # Full width every op would be 16 * 11 * 2**12 + 3 * 2**12.
-        assert sum(ops * size for ops, size in runs) == sum(16 << (t + 2) for t in range(11)) + 3 * 2
+        assert sum(ops * size for ops, size, _ in runs) == sum(16 << (t + 2) for t in range(11)) + 3 * 2
+        # Each run that adds a qubit acts on it and on the qubits just
+        # below, so its gather does the growth and _grow never runs.
+        assert grows == []
+
+    def test_growth_outside_the_fold(self, monkeypatch):
+        # H on q0..q14 and a phase on each, then ops whose growth the run's
+        # gather cannot do; each circuit spans several chunks.
+        ops = [op for q in range(15) for op in (GateOp("H", (q,)), GateOp("U1", (q,), 0.1 * q - 0.6))]
+        cases = [
+            # Grows by q15 and q16, but the run is on q16 and q3.
+            (17, [GateOp("H", (16,)), GateOp("CNOT", (16, 3)), GateOp("H", (3,))], [(15, 17)]),
+            # Grows by q15, q16 and q17, with the run on the lowest bits, q16
+            # and q17, but not on q15.
+            (18, [GateOp("H", (17,)), GateOp("CNOT", (17, 16)), GateOp("H", (16,))], [(15, 18)]),
+            # Grows by q15 only, with the run on q0 and q15: not the lowest bits.
+            (16, [GateOp("CNOT", (0, 15)), GateOp("H", (15,)), GateOp("U1", (0,), 1.1)], [(15, 16)]),
+            # Grows by q15 in a run of its own, then the final spread to 17.
+            (17, [GateOp("H", (15,)), GateOp("U1", (15,), -0.4)], [(16, 17)]),
+        ]
+        _, grows = self.record_kernels(monkeypatch)
+        for num_qubits, tail, wanted in cases:
+            grows.clear()
+            self.assert_same_as_full_width(Circuit(num_qubits, ops + tail), seeds=(4,))
+            assert grows == wanted * len(self.NOISES)
+
+    @pytest.mark.parametrize(
+        "width, fresh, specs",
+        [
+            (16, 1, [("X", 1)]),  # a relabel alone moves the filled rows into place
+            (16, 1, [("CNOT", 0, 1)]),
+            (16, 1, [("H", 1), ("U1", 0), ("CNOT", 1, 0), ("H", 0), ("X", 1), ("U1", 1)]),
+            (16, 1, [("U1", 1), ("H", 0), ("CNOT", 0, 1), ("H", 1)]),
+            (16, 2, [("CNOT", 0, 1), ("H", 1), ("X", 0), ("U1", 0)]),
+            (16, 2, [("H", 0), ("H", 1)]),
+            (3, 1, [("H", 1), ("CNOT", 1, 0), ("U1", 0)]),  # one chunk
+            (2, 2, [("CNOT", 0, 1), ("H", 1)]),  # 0-d columns
+            (1, 1, [("H", 1)]),
+        ],
+    )
+    def test_folded_run_matches_grow_then_run(self, width, fresh, specs):
+        # The folded gather must give the state _grow then the run give, to
+        # the bit.  The old prefix holds zeros of each sign, which a wrong
+        # fill or a clobbered read would change; above it lies garbage both
+        # must overwrite.  At width 16 the run spans four chunks.
+        rng = np.random.default_rng(width * 10 + fresh)
+        # Offset d is qubit width - 2 + d, so the run is on the lowest bits.
+        ops = [GateOp(name, tuple(width - 2 + d for d in offsets), *[0.7] * (name == "U1"))
+               for name, *offsets in specs]
+        old = 1 << (width - fresh)
+        start = np.full(1 << width, np.nan + 1j * np.nan)
+        start[:old] = rng.standard_normal(old) + 1j * rng.standard_normal(old)
+        for zero in (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)):
+            start[rng.integers(old, size=max(1, old // 16))] = zero
+        folded, grown = start.copy(), start.copy()
+        core._block(folded, width, ops, fresh)
+        core._grow(grown, width - fresh, width)
+        core._block(grown, width, ops)
+        assert np.array_equal(folded.view(np.uint64), grown.view(np.uint64))
 
     @staticmethod
     def traced_peak(run_it):
@@ -686,6 +756,40 @@ class TestCounts:
     def test_from_json_rejects_extra_keys(self):
         with pytest.raises(ValidationError):
             Counts.from_json_dict({"shots": 1, "counts": {"0": 1}, "x": 2})
+
+
+class TestBitKeys:
+    """``bits_index`` and ``bitstring_bytes`` against ``format(i, f"0{w}b")``,
+    the basis-index convention: q0 is the leftmost character and the top bit."""
+
+    @staticmethod
+    def cases(width):
+        rng = np.random.default_rng(width)
+        top = (1 << width) - 1  # 2**63 - 1 at width 63, the largest key
+        picked = [0, top, top >> 1, 1 & top, *rng.integers(0, top, 8, endpoint=True).tolist()]
+        return picked, [format(i, f"0{width}b") if width else "" for i in picked]
+
+    @pytest.mark.parametrize("width", range(0, 64))
+    def test_bits_index(self, width):
+        index, keys = self.cases(width)
+        bits = np.array([[c == "1" for c in key] for key in keys], bool).reshape(len(keys), width)
+        assert core.bits_index(bits).tolist() == index  # bool, as readout noise passes
+        # A column slice of a wider byte matrix, as the result reader passes.
+        wide = np.full((len(keys), width + 5), 7, np.uint8)
+        wide[:, 1 : width + 1] = bits
+        got = core.bits_index(wide[:, 1 : width + 1])
+        assert got.dtype == np.int64 and got.tolist() == index
+
+    @pytest.mark.parametrize("width", range(0, 64))
+    def test_bitstring_bytes(self, width):
+        index, keys = self.cases(width)
+        got = core.bitstring_bytes(np.array(index, np.int64), width)
+        assert got.dtype == f"S{max(width, 1)}"
+        assert got.astype(str).tolist() == keys
+        # Every other entry of a longer array: a strided input.
+        spaced = np.zeros(2 * len(index), np.int64)
+        spaced[::2] = index
+        assert core.bitstring_bytes(spaced[::2], width).astype(str).tolist() == keys
 
 
 class TestParseBitstringMap:
