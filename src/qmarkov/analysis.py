@@ -309,7 +309,9 @@ def read_json_layout(path):
         record = width + 4 + _VALUE_BYTES  # head and the longest token
         template = _record_head(width)
         limit = (template == ord("0")).view(np.uint8)
-        most = hi // (width + 7) + 1  # records of a space, head, one byte and "," each
+        # Records of a space, head, one byte and "," each; strictly increasing
+        # keys allow at most 2^width.
+        most = min(hi // (width + 7) + 1, 1 << width)
         index = np.empty(most, np.int64)
         tokens = np.empty((most, _VALUE_BYTES), np.uint8)
         sizes = np.empty(most, np.uint8)  # of each value token
@@ -339,6 +341,8 @@ def read_json_layout(path):
                 rec = windows[starts]
                 head = rec[:, : width + 4] - template
                 if (head > limit).any():
+                    return None
+                if count + len(starts) > most:
                     return None
                 done = slice(count, count + len(starts))
                 index[done] = bits_index(head[:, 1 : width + 1])

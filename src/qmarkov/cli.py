@@ -6,12 +6,17 @@ out of memory.
 
 import argparse
 import functools
+import os
+import stat
 import sys
 
 import numpy as np
 
 from .analysis import compare_runs, json_pieces, read_json_layout, validate_distribution
-from .core import Counts, NoiseModel, execute, probabilities, sample_counts
+from .core import Counts, NoiseModel, execute, probabilities
+# sample_counts with a fifth argument, the CDF buffer; under the public name,
+# so spans and tests that wrap cli.sample_counts still see every sampling.
+from .core import _sample_counts as sample_counts
 from .errors import CapacityError, ValidationError
 from .gates import (
     RotationOrder,
@@ -97,15 +102,29 @@ def _write(pieces, stream) -> None:
 
 def _emit(result, args) -> None:
     """Write ``result`` as JSON in ``args.bit_order`` to ``args.out`` or
-    stdout; the file is opened only once the result has passed the checks."""
+    stdout; the file is opened only once the result has passed the checks.
+
+    The file is overwritten in place and then cut at the written length, even
+    when a write fails.  Opening with ``O_TRUNC`` instead makes ext4 (with its
+    default ``auto_da_alloc``) start writeback on close, and every later
+    truncating open of the file waits for that I/O.
+    """
     if args.bit_order == "reversed":
         result = result.bit_reversed()
     pieces = json_pieces(result)
     if args.out is None:
         _write(pieces, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        return
+    fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        try:
             _write(pieces, fh)
+        finally:
+            try:
+                fh.flush()
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):  # not /dev/null, a FIFO or a tty
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def cmd_compile(args) -> int:
@@ -138,7 +157,9 @@ def cmd_run(args) -> int:
     if args.shots is None:
         _emit(probabilities(state), args)
     else:
-        _emit(sample_counts(state, args.shots, args.seed, noise), args)
+        # The state is not read again, so its own memory holds the CDF.
+        cdf = state.amplitudes.view(np.float64)[: 1 << state.num_qubits]
+        _emit(sample_counts(state, args.shots, args.seed, noise, cdf), args)
     return 0
 
 

@@ -485,6 +485,25 @@ def counts_to_distribution(counts: Counts) -> Distribution:
     return Distribution(counts.width, counts.support, counts.probs / counts.shots)
 
 
+def _cdf(amplitudes, cdf):
+    """Write the CDF of |a|^2 over ``amplitudes``, normalized and scaled to
+    end at 1, into the float64 buffer ``cdf`` and return it.  |a|^2 goes in
+    ``_CHUNK`` amplitudes at a time, so ``cdf`` may be the amplitudes' own
+    memory: float slot i overlaps amplitude i // 2, which the forward walk has
+    already read.  ``np.abs`` writes to a scratch chunk, never to memory it
+    reads: numpy copies an overlapping operand and then takes a loop that
+    rounds some |a| differently from the whole-array call."""
+    scratch = np.empty(min(len(cdf), _CHUNK))
+    for lo in range(0, len(cdf), _CHUNK):
+        part = cdf[lo : lo + _CHUNK]
+        mag = np.abs(amplitudes[lo : lo + _CHUNK], out=scratch[: len(part)])
+        np.multiply(mag, mag, out=part)
+    cdf /= cdf.sum()
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return cdf
+
+
 def sample_counts(
     state: Statevector,
     shots: int,
@@ -497,6 +516,14 @@ def sample_counts(
     Draw order per seed: the ``shots`` outcome draws first, then (only when
     readout_flip_prob > 0) one uniform per measured bit.
     """
+    return _sample_counts(state, shots, rng_seed, noise, None)
+
+
+def _sample_counts(state, shots, rng_seed, noise, cdf) -> Counts:
+    """``sample_counts`` with its CDF built in the float64 buffer ``cdf`` of
+    2^n slots, a new array when None.  A caller done with the state can pass
+    ``state.amplitudes.view(np.float64)[: 1 << n]``, so the CDF takes no
+    memory beside the state (see ``_cdf``)."""
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
     if rng_seed is None:
@@ -511,11 +538,7 @@ def sample_counts(
     # Generator.choice's own algorithm for p=, run in one buffer: the CDF of
     # the normalized probabilities, scaled to end at 1, searched with one
     # uniform per shot.  Same draws, same generator state afterwards.
-    cdf = np.abs(state.amplitudes)
-    cdf *= cdf
-    cdf /= cdf.sum()
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
+    cdf = _cdf(state.amplitudes, np.empty(1 << n) if cdf is None else cdf)
     rng = np.random.default_rng(rng_seed)
     outcomes = cdf.searchsorted(rng.random(shots), side="right")
     if flip_prob > 0.0:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_chain
-from qmarkov import core
+from qmarkov import cli, core
 from qmarkov import (
     BinaryMarkovChain,
     CapacityError,
@@ -924,6 +924,56 @@ class TestSampleCounts:
             noisy = sample_counts(state, shots, seed, NoiseModel(0.0, 0.5))
             assert np.array_equal(noisy.support, index)
             assert np.array_equal(noisy.probs, tallies)
+
+    @pytest.mark.parametrize("size", [1, 3, 1000, core._CHUNK - 1, core._CHUNK + 1,
+                                      3 * core._CHUNK + 5])
+    def test_chunked_cdf_matches_whole_array(self, size):
+        # |a|^2 a chunk at a time, into a new buffer or into the amplitudes'
+        # own memory, against the whole-array calls, bit for bit; the sizes
+        # leave a partial chunk.  Magnitudes span subnormals to near 1.
+        rng = np.random.default_rng(size)
+        scale = 10.0 ** rng.integers(-320, 1, size)
+        amps = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * scale
+        amps[rng.random(size) < 0.1] = 0.0
+        amps[0] = 0.5 + 0.5j
+        whole = np.abs(amps)
+        whole *= whole
+        whole /= whole.sum()
+        np.cumsum(whole, out=whole)
+        whole /= whole[-1]
+        assert core._cdf(amps, np.empty(size)).tobytes() == whole.tobytes()
+        shared = amps.copy()
+        cdf = core._cdf(shared, shared.view(np.float64)[:size])
+        assert np.shares_memory(cdf, shared)
+        assert cdf.tobytes() == whole.tobytes()
+
+    def test_library_state_left_untouched(self):
+        rng = np.random.default_rng(31)
+        for n, noise in ((3, None), (15, NoiseModel(0.0, 0.1))):
+            state = random_state(rng, n)
+            before = state.amplitudes.tobytes()
+            sample_counts(state, 4096, 9, noise)
+            assert state.amplitudes.tobytes() == before
+
+    def test_cli_run_samples_in_the_state_memory(self, chain_spec_file, tmp_path):
+        # cmd_run does not read the state after sampling, so the CDF goes in
+        # its memory: the traced peak at n = 18 is the 4 MiB state plus
+        # execute's chunk buffer, where a new CDF would add 2 MiB.  The
+        # counts are the library call's.
+        spec = chain_spec_file(steps=18, p0=0.3, p00=0.6, p01=0.4, p10=0.25, p11=0.75)
+        out = tmp_path / "counts.json"
+        argv = ["run", "--spec", spec, "--shots", "--seed", "5", "--out", str(out)]
+        assert cli.main(argv) == 0  # lazy imports on first use are not the run's memory
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (16 << 18) + (1 << 20)
+        chain = BinaryMarkovChain((0.3, 0.7), ((0.6, 0.4), (0.25, 0.75)), 18)
+        state = execute(compile_to_circuit(chain))
+        assert out.read_text(encoding="utf-8") == to_json_text(sample_counts(state, 8192, 5)) + "\n"
 
     def test_peak_memory_one_float_vector(self):
         # Beside the state, sampling holds one 2**n float64 CDF (8 MiB at

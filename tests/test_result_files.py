@@ -289,6 +289,23 @@ def test_record_longer_than_the_layout(tmp_path, monkeypatch, slice_bytes, long)
     assert_sliced_read(tmp_path, monkeypatch, text, slice_bytes, accepted=False)
 
 
+@pytest.mark.parametrize("slice_bytes", [1, 7, 30, 1 << 12])
+def test_more_records_than_keys(tmp_path, monkeypatch, capsys, slice_bytes):
+    # Strictly increasing 4-bit keys allow at most 16 records, and the
+    # reader's arrays hold that many: a full map is read, and a 17th record
+    # is declined as soon as its slice is read.  fidelity then reports what
+    # json.load makes of the repeated key.
+    full = to_json_text(Distribution(4, np.arange(16), np.full(16, 1 / 16)))
+    assert_sliced_read(tmp_path, monkeypatch, full, slice_bytes, accepted=True)
+    over = full[:-1] + ', "1111": 0.0}\n'
+    assert_sliced_read(tmp_path, monkeypatch, over, slice_bytes, accepted=False)
+    path = str(tmp_path / "result.json")
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_SLICE", slice_bytes)
+        assert cli.main(["fidelity", path, path]) == 2
+    assert capsys.readouterr().err == f"error: {path} sums to 0.9375, expected 1 within 1e-09\n"
+
+
 def test_reader_memory(tmp_path):
     # The file is read through one slice buffer, so the traced peak is the
     # token rows, keys and grouping: under 2.5 times the file (a whole-file

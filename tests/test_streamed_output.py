@@ -3,6 +3,9 @@
 never held whole in memory."""
 
 import argparse
+import builtins
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -45,6 +48,8 @@ def written(capsys, tmp_path, argv) -> str:
 
 @pytest.mark.parametrize("size", SIZES)
 def test_run_and_oracle_write_the_text(capsys, tmp_path, monkeypatch, chain_spec_file, size):
+    # --out is overwritten in place and cut at the new text's end: a longer
+    # old file keeps no tail.  /dev/null takes the text and is not cut.
     spec, out = chain_spec_file(), str(tmp_path / "out.json")
     dist, tallies = distribution(size), counts(size)
     monkeypatch.setattr(cli, "probabilities", lambda state: dist)
@@ -58,7 +63,76 @@ def test_run_and_oracle_write_the_text(capsys, tmp_path, monkeypatch, chain_spec
         (tallies, ["run", "--spec", spec, "--shots", "--seed", "1"]),
         (tallies, ["run", "--spec", spec, "--shots", "--seed", "1", "--out", out]),
     ]:
-        assert written(capsys, tmp_path, argv) == to_json_text(value) + "\n", argv
+        text = to_json_text(value) + "\n"
+        if "--out" in argv:
+            (tmp_path / "out.json").write_text("old " * (len(text) // 4 + 3), encoding="utf-8")
+        assert written(capsys, tmp_path, argv) == text, argv
+        assert cli.main([*argv, "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+
+
+def test_rewrite_keeps_links_and_mode(tmp_path, chain_spec_file):
+    # The file is written in place, not replaced: a symlink stays a link to
+    # the same file, a hard link sees the new text, and the mode is kept.
+    target, link, alias = tmp_path / "target.json", tmp_path / "link.json", tmp_path / "alias.json"
+    target.write_text("x" * 4096, encoding="utf-8")
+    target.chmod(0o600)
+    os.link(target, alias)
+    link.symlink_to(target)
+    assert cli.main(["oracle", "--spec", chain_spec_file(), "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8") == alias.read_text(encoding="utf-8") == (
+        '{"000": 0.5, "100": 0.25, "110": 0.125, "111": 0.125}\n')
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+def test_failed_write_leaves_a_prefix(capsys, tmp_path, monkeypatch, chain_spec_file):
+    # A write that fails after its first piece exits 2; the file holds the
+    # pieces written so far and none of the longer old file's tail.
+    spec, out = chain_spec_file(steps=14, p00=0.5, p01=0.5), tmp_path / "out.json"
+    assert cli.main(["run", "--spec", spec, "--out", str(out)]) == 0
+    whole = out.read_text(encoding="utf-8")
+    out.write_text(whole + "old tail " * 1000, encoding="utf-8")
+    first = []
+
+    def failing(value):
+        pieces = json_pieces(value)
+        first.append(next(pieces))
+        yield first[0]
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "json_pieces", failing)
+    assert cli.main(["run", "--spec", spec, "--out", str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == first[0]
+    assert len(first[0]) < len(whole) and whole.startswith(first[0])
+
+
+def test_out_never_opened_with_truncation(tmp_path, monkeypatch, chain_spec_file):
+    # An O_TRUNC open of a file that was truncated and closed before waits
+    # for its writeback on ext4, so no open of --out may truncate.
+    spec, out = chain_spec_file(), str(tmp_path / "out.json")
+    opened = []
+    os_open, io_open = os.open, builtins.open
+
+    def os_spy(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    def io_spy(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int):
+            opened.append((os.fspath(file), os.O_TRUNC if "w" in mode else 0))
+        return io_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", os_spy)
+    monkeypatch.setattr(builtins, "open", io_spy)
+    for argv in (["run", "--spec", spec], ["oracle", "--spec", spec],
+                 ["run", "--spec", spec, "--shots", "--seed", "1"]):
+        for _ in range(3):
+            assert cli.main([*argv, "--out", out]) == 0
+    flags = [flag for path, flag in opened if path == out]
+    assert len(flags) == 9
+    assert not any(flag & os.O_TRUNC for flag in flags)
 
 
 @pytest.mark.parametrize("size", SIZES)
