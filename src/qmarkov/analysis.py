@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (_CHUNK, MAX_KEY_BITS, Counts, Distribution, bits_index, bitstring_bytes,
-                   counts_to_distribution)
+from .core import (_CHUNK, MAX_KEY_BITS, Counts, Distribution, _ordered_sum, bits_index,
+                   bitstring_bytes, counts_to_distribution)
 from .errors import ValidationError
 from .gates import _INV_SQRT2
 
@@ -57,10 +57,13 @@ def _on_union(p, q):
 
 def _distance(p_probs: np.ndarray, q_probs: np.ndarray) -> float:
     # Sequential sum in index order, so the result is reproducible to the
-    # last bit (a pairwise np.sum would change it).
-    diff = np.sqrt(p_probs) - np.sqrt(q_probs)
-    total = float(np.cumsum(diff * diff)[-1]) if diff.size else 0.0
-    return min(_INV_SQRT2 * math.sqrt(total), 1.0)
+    # last bit (a pairwise np.sum would change it), a chunk at a time.
+    def squares(lo, hi, out):
+        np.sqrt(p_probs[lo:hi], out=out)
+        out -= np.sqrt(q_probs[lo:hi])
+        out *= out
+
+    return min(_INV_SQRT2 * math.sqrt(_ordered_sum(len(p_probs), squares)), 1.0)
 
 
 def hellinger_distance(p, q) -> float:
@@ -113,7 +116,8 @@ def compare_runs(reference, observed, *, checked: bool = False) -> FidelityRepor
     if not checked:
         reference, observed = _checked(reference, "reference"), _checked(observed, "observed")
     width, union, ref_probs, obs_probs = _on_union(reference, observed)
-    diffs = Distribution(width, union, np.abs(ref_probs - obs_probs))
+    diffs = np.subtract(ref_probs, obs_probs)
+    diffs = Distribution(width, union, np.abs(diffs, out=diffs))
     shots = [side.shots if isinstance(side, Counts) else 0 for side in (reference, observed)]
     return FidelityReport(_distance(ref_probs, obs_probs), diffs, *shots)
 
@@ -131,17 +135,23 @@ def _take_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
 _GROUP_ROUNDS = tuple(map(np.uint64, (0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0xD6E8FEB86659FD93)))
 
 
+def _fold(rows: np.ndarray, mult: np.uint64) -> np.ndarray:
+    """A uint64 hash of each row of uint64 words: its words folded into the
+    odd ``mult`` by multiplying and xoring (Knuth, TAOCP vol. 3, 6.4)."""
+    first, *rest = rows.T
+    hashed = first * mult
+    for word in rest:
+        hashed ^= word
+        hashed *= mult
+    return hashed
+
+
 def _owners(rows: np.ndarray, index: np.ndarray, mult: np.uint64) -> np.ndarray:
     """Hash ``rows`` of uint64 words into a table of at least twice as many
-    slots: fold each row's words into the odd ``mult`` by multiplying and
-    xoring, and keep the top bits (Knuth, TAOCP vol. 3, 6.4); per row, the
-    ``index`` entry of the last row written to its slot."""
+    slots, keeping the top bits of their ``_fold``; per row, the ``index``
+    entry of the last row written to its slot."""
     bits = max(len(rows) - 1, 1).bit_length() + 1
-    first, *rest = rows.T
-    slot = first * mult
-    for word in rest:
-        slot ^= word
-        slot *= mult
+    slot = _fold(rows, mult)
     slot >>= np.uint64(64 - bits)
     slot = slot.view(np.int64)  # numpy casts uint64 indices, but not int64 ones
     owner = np.empty(1 << bits, index.dtype)
@@ -272,6 +282,98 @@ _PREFIX = (np.tri(_VALUE_BYTES + 1, _VALUE_BYTES, -1, np.uint8) * np.uint8(255))
     f"V{_VALUE_BYTES}").reshape(-1)
 
 _SLICE = 16 * _CHUNK  # bytes read at a time: 256 KiB, the size of core._block's chunk buffer
+_BATCH = 4 * _CHUNK  # records whose tokens are grouped and converted at a time
+_TOKEN_MULT = np.uint64(0x9E3779B97F4A7C15)  # keys _TokenTable
+
+
+class _TokenTable:
+    """The value tokens converted so far, as rows of three 8-byte words, and
+    their values, in the order they came, with an open-addressing hash
+    table of their positions: linear probing from the top bits of ``_fold``
+    with ``_TOKEN_MULT``, the table at most half full.  A row is found only
+    if it equals a stored row word for word, so a hash collision costs a
+    probe, never a wrong value."""
+
+    def __init__(self):
+        self.words, self.values, self.count = np.empty((0, 3), np.uint64), np.empty(0), 0
+        self.slots = np.full(2, -1, np.int32)  # positions in words; -1 is empty
+
+    def _home(self, rows: np.ndarray) -> np.ndarray:
+        """The slot each row's probe starts at."""
+        bits = len(self.slots).bit_length() - 1
+        return (_fold(rows, _TOKEN_MULT) >> np.uint64(64 - bits)).view(np.int64)
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """Per row, the position of the equal stored row, or -1."""
+        found = np.full(len(rows), -1, np.intp)
+        if not self.count:
+            return found
+        todo, at, last = np.arange(len(rows)), self._home(rows), len(self.slots) - 1
+        while len(todo):
+            owner = self.slots[at]
+            live = owner >= 0  # an empty slot ends the probe: the row is new
+            todo, at, owner = todo[live], at[live], owner[live]
+            same = (self.words[owner] == rows[todo]).all(axis=1)
+            found[todo[same]] = owner[same]
+            todo, at = todo[~same], (at[~same] + 1) & last
+        return found
+
+    def add(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Store ``rows``, distinct and none of them stored yet, and their
+        ``values``."""
+        start, total = self.count, self.count + len(rows)
+        if total > len(self.values):  # room for at least twice as many rows
+            spare = max(total, 2 * len(self.values)) - start
+            self.words = np.concatenate((self.words[:start], np.empty((spare, 3), np.uint64)))
+            self.values = np.concatenate((self.values[:start], np.empty(spare)))
+        self.words[start:total] = rows
+        self.values[start:total] = values
+        self.count = total
+        ids = np.arange(start, total)
+        if 2 * total > len(self.slots):  # a new table of 4-8 slots a row takes every row
+            size = 1 << total.bit_length() + 2
+            self.slots = np.full(size, -1, np.int32 if size <= 2**31 else np.intp)
+            ids = np.arange(total)
+        at, last = self._home(self.words[ids]), len(self.slots) - 1
+        while len(ids):
+            free = self.slots[at] < 0
+            self.slots[at[free]] = ids[free]  # of rows that share a free slot, one is stored
+            left = self.slots[at] != ids
+            ids, at = ids[left], (at[left] + 1) & last
+
+
+def _convert_tokens(tokens: np.ndarray, sizes: np.ndarray, seen: _TokenTable,
+                    out: np.ndarray, last: bool) -> bool:
+    """Write the float of each NUL-padded token row of ``tokens`` (its length
+    in ``sizes``) to ``out``.  Identical tokens are grouped, the distinct
+    ones looked up in ``seen``, and only those not there go through one
+    ``json.loads`` and, unless this is the ``last`` batch, into ``seen``.
+    False when a token is not a JSON float."""
+    rep, inverse = _group(tokens.view(np.uint64))  # identical tokens, by their three words
+    distinct = tokens[rep]
+    if (np.count_nonzero(distinct, axis=1)[inverse] != sizes).any():  # a NUL would pass as padding
+        return False
+    words = distinct.view(np.uint64)
+    found = seen.find(words)
+    new = np.flatnonzero(found < 0)
+    # ",token" rows; the mask drops the padding.
+    listed = np.insert(distinct[new], 0, ord(","), axis=1)
+    try:
+        parsed = json.loads(b"[%s]" % listed[listed != 0].tobytes()[1:])
+    except ValueError:
+        return False
+    # Only floats: a string, array or object could hold a comma, and so
+    # more than one token.
+    if not set(map(type, parsed)) <= {float}:
+        return False
+    values = np.empty(len(rep))
+    values[new] = parsed
+    known = found >= 0
+    values[known] = seen.values[found[known]]
+    if not last:
+        seen.add(words[new], values[new])
+    np.take(values, inverse, out=out)
+    return True
 
 
 def read_json_layout(path):
@@ -286,9 +388,10 @@ def read_json_layout(path):
     file is read ``_SLICE`` bytes at a time into one buffer, and the bytes
     after a slice's last comma are carried to the front of the next, so
     each slice is scanned and its keys and tokens gathered while it is in
-    cache.  Identical tokens are then grouped, so one ``json.loads``
-    converts each distinct one once.  Returns an unchecked
-    ``Distribution``.
+    cache.  The tokens of ``_BATCH`` records at a time are then converted
+    by ``_convert_tokens``, so each distinct token goes through
+    ``json.loads`` once and only the keys and values grow with the file.
+    Returns an unchecked ``Distribution``.
     """
     with open(path, "rb") as fh:
         opening = fh.read(66)
@@ -313,13 +416,18 @@ def read_json_layout(path):
         # keys allow at most 2^width.
         most = min(hi // (width + 7) + 1, 1 << width)
         index = np.empty(most, np.int64)
-        tokens = np.empty((most, _VALUE_BYTES), np.uint8)
-        sizes = np.empty(most, np.uint8)  # of each value token
+        probs = np.empty(most)
         buf = np.empty(1 + record + min(_SLICE, hi) + _VALUE_BYTES, np.uint8)  # padded to end every window
         windows = sliding_window_view(buf, record)
+        # A batch, and the records of one slice: they start width + 7 bytes apart.
+        room = min(most, _BATCH + len(buf) // (width + 7) + 1)
+        tokens = np.empty((room, _VALUE_BYTES), np.uint8)
+        sizes = np.empty(room, np.uint8)  # of each value token
+        seen = _TokenTable()
         buf[0] = ord(" ")
         fh.seek(1)
-        kept, left, count = 1, hi - 1, 0  # bytes carried, bytes to read, records so far
+        # Bytes carried, bytes to read, records so far and in the batch.
+        kept, left, count, filled = 1, hi - 1, 0, 0
         while left:
             step = min(_SLICE, left)
             if fh.readinto(buf[kept : kept + step]) != step:
@@ -344,29 +452,21 @@ def read_json_layout(path):
                     return None
                 if count + len(starts) > most:
                     return None
-                done = slice(count, count + len(starts))
-                index[done] = bits_index(head[:, 1 : width + 1])
-                tokens[done] = rec[:, width + 4 :]
-                tokens[done] &= _take_rows(_PREFIX, lengths)
-                sizes[done] = lengths
-                count = done.stop
+                index[count : count + len(starts)] = bits_index(head[:, 1 : width + 1])
+                if (np.diff(index[max(count - 1, 0) : count + len(starts)]) <= 0).any():
+                    return None
+                batch = slice(filled, filled + len(starts))
+                tokens[batch] = rec[:, width + 4 :]
+                tokens[batch] &= _take_rows(_PREFIX, lengths)
+                sizes[batch] = lengths
+                count, filled = count + len(starts), batch.stop
+            if filled and (filled >= _BATCH or not left):
+                if not _convert_tokens(tokens[:filled], sizes[:filled], seen,
+                                       probs[count - filled : count], not left):
+                    return None
+                filled = 0
             kept = end - cut
             buf[:kept] = buf[cut:end]
-    if not (index[1:count] > index[: count - 1]).all():
-        return None
-
-    rep, inverse = _group(tokens[:count].view(np.uint64))  # identical tokens, by their three 8-byte words
-    distinct = tokens[rep]
-    if (np.count_nonzero(distinct, axis=1)[inverse] != sizes[:count]).any():  # a NUL would pass as padding
-        return None
-    listed = np.insert(distinct, 0, ord(","), axis=1)  # ",token" rows; the mask drops the padding
-    try:
-        values = json.loads(b"[%s]" % listed[listed != 0].tobytes()[1:])
-    except ValueError:
-        return None
-    # Only floats: a string, array or object could hold a comma, and so
-    # more than one token.
-    if set(map(type, values)) != {float}:
-        return None
-    # An exact-size copy: the keys array was sized for ``most`` entries.
-    return Distribution(width, index[:count].copy(), np.array(values)[inverse])
+    if count < most:  # the arrays were sized for ``most`` entries
+        index, probs = index[:count].copy(), probs[:count].copy()
+    return Distribution(width, index, probs)

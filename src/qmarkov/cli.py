@@ -155,7 +155,9 @@ def cmd_run(args) -> int:
         raise ValidationError("--noise-readout needs --shots: only sampled bits are read out")
     state = execute(circuit, noise=noise, rng_seed=args.seed)
     if args.shots is None:
-        _emit(probabilities(state), args)
+        result = probabilities(state)
+        del state  # its memory is free while the result is written
+        _emit(result, args)
     else:
         # The state is not read again, so its own memory holds the CDF.
         cdf = state.amplitudes.view(np.float64)[: 1 << state.num_qubits]
@@ -172,9 +174,10 @@ def _load_result(path):
     """Parse a result file: a counts object or a bitstring->probability map.
 
     A probability map in the layout ``to_json_text`` writes is read as
-    arrays; any other file, counts included, goes through ``json.load``.
-    Both then take the same checks, so they give the same arrays and the
-    same errors.
+    arrays, its value tokens a batch at a time, so only its keys and values
+    grow with the file; any other file, counts included, goes through
+    ``json.load``.  Both then take the same checks, so they give the same
+    arrays and the same errors.
     """
     data = read_json_layout(path)
     if data is None:

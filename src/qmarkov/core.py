@@ -81,6 +81,22 @@ def bitstring_bytes(index: np.ndarray, width: int) -> np.ndarray:
     return bits.view(f"S{width}").reshape(-1)
 
 
+def _ordered_sum(size: int, fill) -> float:
+    """``values[0] + values[1] + ...`` from 0.0, one add after another as
+    ``np.cumsum`` makes them, without a ``size``-long array: ``fill(lo, hi,
+    out)`` writes ``values[lo:hi]`` to ``out``, ``_CHUNK`` values at a time.
+    Each chunk's first value takes the running total, so the adds are those
+    of one ``np.cumsum`` over all values, bit for bit."""
+    scratch = np.empty(min(size, _CHUNK))
+    total = 0.0
+    for lo in range(0, size, _CHUNK):
+        part = scratch[: min(size - lo, _CHUNK)]
+        fill(lo, lo + len(part), part)
+        part[0] += total
+        total = np.cumsum(part, out=part)[-1]
+    return float(total)
+
+
 def parse_bitstring_map(mapping, what: str, integral: bool = False):
     """The one validator for ``{bitstring: number}`` input.
 
@@ -141,8 +157,8 @@ def parse_bitstring_map(mapping, what: str, integral: bool = False):
         raise ValidationError(f"{what} has a negative or non-finite value for {key!r}")
     if floats and not integral and len(values):
         # Python's sum of floats (3.10, 3.11) without a float object per
-        # entry: one add after another from the int 0, so -0.0 reads 0.0.
-        total = float(np.cumsum(values)[-1]) + 0.0
+        # entry: one add after another from 0, so -0.0 reads 0.0.
+        total = _ordered_sum(len(values), lambda lo, hi, out: np.copyto(out, values[lo:hi]))
     else:  # ints, alone or mixed with floats: exact, as int64 could overflow
         total = sum(raw if isinstance(raw, list) else raw.tolist())
     return width, index[order], values[order], total

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from conftest import worked_chain
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmarkov import core
+from qmarkov import analysis, core
 from qmarkov import (
     Counts,
     Distribution,
@@ -321,6 +322,25 @@ class TestCompareRuns:
         monkeypatch.setattr(Distribution, "__getitem__", refuse)
         assert json.loads(to_json_text(report)) == want
 
+    def test_equal_supports_add_one_array(self):
+        # With equal supports the sides are used as they are: compare_runs
+        # adds the diffs (8 bytes an entry, made in place) and the distance's
+        # chunk buffers (two of _CHUNK float64), not whole-array temporaries.
+        size = 1 << 18
+        rng = np.random.default_rng(6)
+        sides = []
+        for _ in range(2):
+            probs = rng.random(size)
+            sides.append(Distribution(18, np.arange(size), probs / probs.sum()))
+        tracemalloc.start()
+        try:
+            report = compare_runs(*sides, checked=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.diffs) == size
+        assert peak <= 8 * size + 2 * 8 * core._CHUNK + (16 << 10)
+
     def test_json_dict(self):
         report = FidelityReport(0.25, Distribution(1, np.array([0]), np.array([0.1])), 0, 8192)
         assert report.hellinger_fidelity == 0.75
@@ -329,6 +349,67 @@ class TestCompareRuns:
             "fidelity": 0.75,
             "diffs": {"0": 0.1},
         }
+
+
+class TestChunkedSums:
+    """The sequential sums run ``_CHUNK`` entries at a time and must give the
+    bits of one ``np.cumsum`` over the whole array.  ``sqrt`` and ``cumsum``
+    are SIMD-dispatched, so CI runs these at numpy's baseline level too."""
+
+    SIZES = [0, 1, core._CHUNK - 1, core._CHUNK, core._CHUNK + 1, 3 * core._CHUNK + 5]
+
+    @staticmethod
+    def values(size, seed):
+        # Spread over many binades, with subnormals and signed zeros, so the
+        # sum rounds at most adds and a change of order would show.
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, 5e-324, 3e-310, 2.2250738585072014e-308, 1e-300])
+        values = rng.random(size) ** 8
+        picks = rng.random(size) < 0.2
+        values[picks] = rng.choice(pool, int(picks.sum()))
+        return values
+
+    @staticmethod
+    def whole_distance(p, q):
+        diff = np.sqrt(p) - np.sqrt(q)
+        total = float(np.cumsum(diff * diff)[-1]) if diff.size else 0.0
+        return min(analysis._INV_SQRT2 * math.sqrt(total), 1.0)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_distance_matches_whole_cumsum(self, size):
+        p, q = self.values(size, 1), self.values(size, 2)
+        assert repr(analysis._distance(p, q)) == repr(self.whole_distance(p, q))
+        subnormal = np.full(size, 5e-324)
+        assert repr(analysis._distance(subnormal, q)) == repr(self.whole_distance(subnormal, q))
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("fill", [None, 5e-324, -0.0])  # mixed, subnormals only, -0.0 only
+    def test_float_total_matches_whole_cumsum(self, size, fill):
+        values = self.values(size, 3) if fill is None else np.full(size, fill)
+        total = core.parse_bitstring_map(Distribution(20, np.arange(size), values), "d")[3]
+        if size:  # an empty map totals the int 0, as sum([]) does
+            assert repr(total) == repr(float(np.cumsum(values)[-1]) + 0.0)
+            assert repr(total) == repr(sum(values.tolist()))
+        if fill == 0.0 and size:  # the whole-array cumsum ends at -0.0; the total reads 0.0
+            assert repr(total) == "0.0"
+
+    def test_hellinger_on_unequal_supports(self):
+        # Supports that overlap in part: the union spreads each side with
+        # zeros, over more than three chunks.
+        rng = np.random.default_rng(4)
+        size = 3 * core._CHUNK + 5
+        supports = [np.sort(rng.choice(1 << 18, size, replace=False)) for _ in range(2)]
+        sides = []
+        for support in supports:
+            probs = self.values(size, len(sides))
+            sides.append(Distribution(18, support, probs / probs.sum()))
+        union = np.union1d(*supports)
+        spread = []
+        for side in sides:
+            probs = np.zeros(len(union))
+            probs[np.searchsorted(union, side.support)] = side.probs
+            spread.append(probs)
+        assert repr(hellinger_distance(*sides)) == repr(self.whole_distance(*spread))
 
 
 class TestSamplingConvergence:

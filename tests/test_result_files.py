@@ -3,6 +3,7 @@
 
 import json
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -326,6 +327,63 @@ def test_reader_memory(tmp_path):
     assert result is not None and len(result.support) == 1 << width
     assert peak < 2.5 * path.stat().st_size
     assert live <= 16 * (1 << width) + (64 << 10)
+
+
+def test_reader_memory_bounded_by_a_batch(tmp_path):
+    # Only the keys and values, 16 bytes an entry, grow with the file; the
+    # tokens are grouped and converted a batch at a time, so the rest of the
+    # traced peak is bounded by the batch, not by the file (it reads 9.4 MB
+    # against a 10.5 MB bound; a whole-file token matrix made it 16.3 MB).
+    width = 18
+    rng = np.random.default_rng(19)
+    probs = rng.choice(rng.random(6000), size=1 << width)
+    path = tmp_path / "big.json"
+    path.write_text(to_json_text(Distribution(width, np.arange(1 << width), probs / probs.sum())),
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        result = read_json_layout(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result is not None and len(result.support) == 1 << width
+    assert peak <= 16 * (1 << width) + 96 * analysis._BATCH
+
+
+@pytest.mark.parametrize("slice_bytes", [1, 40, 100, 1 << 18])
+def test_token_hash_ties_resolved_exactly(tmp_path, monkeypatch, slice_bytes):
+    # With the token table's multiplier 0 every token hashes to one slot, so
+    # each lookup probes every token stored so far and only the word-for-word
+    # compare tells them apart.  A batch of one record converts each slice on
+    # its own, so small slices make later batches look up the tokens of
+    # earlier ones; 0.125000001 and 0.125000009 share their first 8 bytes.
+    # Each distinct token is still parsed once, the file stays with the
+    # array reader, and arrays and errors match json.load's.
+    monkeypatch.setattr(analysis, "_TOKEN_MULT", np.uint64(0))
+    monkeypatch.setattr(analysis, "_BATCH", 1)
+    monkeypatch.setattr(analysis, "_SLICE", slice_bytes)
+    parsed = []
+
+    def counting(text):
+        values = json.loads(text)
+        parsed.extend(values)
+        return values
+
+    monkeypatch.setattr(analysis, "json", types.SimpleNamespace(loads=counting))
+    rng = np.random.default_rng(23)
+    pool = np.array([0.125000001, 0.125000009, 1 / 3, 3e-310, 1e-300, 0.25])
+    probs = rng.choice(pool, 50)
+    support = np.sort(rng.choice(1 << 7, 50, replace=False))
+    for scale in (1 / probs.sum(), 2 / probs.sum()):  # the second sums to 2: the same error
+        dist = Distribution(7, support, probs * scale)
+        assert_paths_agree(tmp_path, monkeypatch, to_json_text(dist) + "\n", accepted=True)
+        parsed.clear()
+        read_json_layout(tmp_path / "result.json")
+        assert sorted(parsed) == sorted(set(dist.probs.tolist()))
+    # A token that is not a float, in the last batch, still sends the file to json.load.
+    text = to_json_text(Distribution(7, support, probs / probs.sum()))
+    last = text.rindex(":") + 2
+    assert_paths_agree(tmp_path, monkeypatch, text[:last] + "true}", accepted=False)
 
 
 def test_canonical_file_never_falls_back(tmp_path, monkeypatch, capsys):

@@ -7,6 +7,7 @@ import builtins
 import os
 import stat
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -198,3 +199,27 @@ def test_no_whole_file_text(tmp_path):
         tracemalloc.stop()
     assert out.read_text(encoding="utf-8") == to_json_text(dist) + "\n"
     assert peak < 0.75 * out.stat().st_size
+
+
+def test_exact_run_writes_without_the_state(tmp_path, monkeypatch, chain_spec_file):
+    # An exact run drops its state once the probabilities are taken, so the
+    # writer's grouping does not stack on the state's memory: when
+    # json_pieces is entered at n = 18, neither the state nor its 4 MiB of
+    # amplitudes is alive.
+    refs, alive = [], []
+    execute, pieces = cli.execute, cli.json_pieces
+
+    def traced_execute(*args, **kwargs):
+        state = execute(*args, **kwargs)
+        refs.extend((weakref.ref(state), weakref.ref(state.amplitudes)))
+        return state
+
+    def traced_pieces(result):
+        alive.append([ref() is not None for ref in refs])
+        return pieces(result)
+
+    monkeypatch.setattr(cli, "execute", traced_execute)
+    monkeypatch.setattr(cli, "json_pieces", traced_pieces)
+    spec = chain_spec_file(steps=18, p0=0.3, p00=0.6, p01=0.4, p10=0.25, p11=0.75)
+    assert cli.main(["run", "--spec", spec, "--out", str(tmp_path / "q.json")]) == 0
+    assert alive == [[False, False]]
