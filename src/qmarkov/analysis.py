@@ -202,12 +202,118 @@ def _record_head(width: int) -> np.ndarray:
     return np.frombuffer(b'"' + b"0" * width + b'": ', np.uint8)
 
 
+_BATCH = 4 * _CHUNK  # values formatted, or records' tokens converted, at a time
+_TOKEN_MULT = np.uint64(0x9E3779B97F4A7C15)  # keys _ExactTable
+
+
+class _ExactTable:
+    """Rows of ``words`` uint64 words stored so far, each with a payload of
+    ``dtype``, in the order they came, with an open-addressing hash table of
+    their positions: linear probing from the top bits of ``_fold`` with
+    ``_TOKEN_MULT``, the table at most half full.  A row is found only if it
+    equals a stored row word for word, so a hash collision costs a probe,
+    never a wrong payload.  The reader keys value tokens (three words) to
+    their floats, the writer float bit patterns (one word) to their text."""
+
+    def __init__(self, words: int, dtype):
+        self.words, self.values, self.count = np.empty((0, words), np.uint64), np.empty(0, dtype), 0
+        self.slots = np.full(2, -1, np.int32)  # positions in words; -1 is empty
+
+    def _home(self, rows: np.ndarray) -> np.ndarray:
+        """The slot each row's probe starts at."""
+        bits = len(self.slots).bit_length() - 1
+        return (_fold(rows, _TOKEN_MULT) >> np.uint64(64 - bits)).view(np.int64)
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """Per row, the position of the equal stored row, or -1."""
+        found = np.full(len(rows), -1, np.intp)
+        if not self.count:
+            return found
+        todo, at, last = np.arange(len(rows)), self._home(rows), len(self.slots) - 1
+        while len(todo):
+            owner = self.slots[at]
+            live = owner >= 0  # an empty slot ends the probe: the row is new
+            todo, at, owner = todo[live], at[live], owner[live]
+            same = (self.words[owner] == rows[todo]).all(axis=1)
+            found[todo[same]] = owner[same]
+            todo, at = todo[~same], (at[~same] + 1) & last
+        return found
+
+    def add(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Store ``rows``, distinct and none of them stored yet, and their
+        ``values``."""
+        start, total = self.count, self.count + len(rows)
+        if total > len(self.values):  # room for at least twice as many rows
+            spare = max(total, 2 * len(self.values)) - start
+            more = np.empty((spare, self.words.shape[1]), np.uint64)
+            self.words = np.concatenate((self.words[:start], more))
+            self.values = np.concatenate((self.values[:start], np.empty(spare, self.values.dtype)))
+        self.words[start:total] = rows
+        self.values[start:total] = values
+        self.count = total
+        ids = np.arange(start, total)
+        if 2 * total > len(self.slots):  # a new table of 4-8 slots a row takes every row
+            size = 1 << total.bit_length() + 2
+            self.slots = np.full(size, -1, np.int32 if size <= 2**31 else np.intp)
+            ids = np.arange(total)
+        at, last = self._home(self.words[ids]), len(self.slots) - 1
+        while len(ids):
+            free = self.slots[at] < 0
+            self.slots[at[free]] = ids[free]  # of rows that share a free slot, one is stored
+            left = self.slots[at] != ids
+            ids, at = ids[left], (at[left] + 1) & last
+
+    def lookup(self, rows: np.ndarray, make, keep: bool):
+        """The payload of each of ``rows``, distinct: the stored one, or for
+        the positions ``new`` of the rows not stored, ``make(new)``, which
+        are then stored if ``keep``.  None if ``make`` gives None."""
+        found = self.find(rows)
+        new = np.flatnonzero(found < 0)
+        made = make(new)
+        if made is None:
+            return None
+        values = np.empty(len(rows), self.values.dtype)
+        values[new] = made
+        known = found >= 0
+        values[known] = self.values[found[known]]
+        if keep:
+            self.add(rows[new], made)
+        return values
+
+
+def _formatted(values: np.ndarray, fmt: bytes) -> np.ndarray:
+    """Each of ``values`` as ``fmt`` gives it, NUL-padded, as one ``V24`` item."""
+    padded = (fmt * len(values)) % tuple(values.tolist())
+    return np.frombuffer(padded.replace(b" ", b"\0"), f"V{_VALUE_BYTES}")
+
+
+def _value_batches(probs: np.ndarray, fmt: bytes):
+    """Per ``_BATCH`` values of ``probs``, the formatted rows of the batch's
+    distinct values and each value's row, grouped with ``_group`` on bit
+    patterns, so -0.0 stays apart from 0.0.  A map of one batch builds no
+    table; in a longer one each batch looks its distinct values up in an
+    ``_ExactTable`` of the values formatted so far, formats only the new
+    ones and, unless it is the last, stores them."""
+    bits = probs.view(np.uint64)
+    seen = _ExactTable(1, f"V{_VALUE_BYTES}") if len(bits) > _BATCH else None
+    for lo in range(0, len(bits), _BATCH):
+        first, inverse = _group(bits[lo : lo + _BATCH])
+        distinct = probs[lo:][first]
+        if seen is None:
+            rows = _formatted(distinct, fmt)
+        else:
+            rows = seen.lookup(distinct.view(np.uint64)[:, None],
+                               lambda new: _formatted(distinct[new], fmt), keep=lo + _BATCH < len(bits))
+        yield rows, inverse
+
+
 def _distribution_pieces(dist: Distribution, head: str = "", tail: str = ""):
     """``head``, ``{"key": value, ...}`` over the support and ``tail``, as an
     iterator of str pieces: ``head + "{"``, one piece per chunk of at most
-    ``_CHUNK`` entries, and ``"}" + tail``.  The value check runs and each
-    distinct value is formatted once before the iterator exists.  A
-    hand-built ``dist`` may hold lists."""
+    ``_CHUNK`` entries, and ``"}" + tail``.  The value check runs before the
+    iterator exists; the values are formatted a batch at a time as the
+    pieces are made, each distinct value once.  A hand-built ``dist`` may
+    hold lists."""
     probs = np.asarray(dist.probs)
     integral = probs.dtype.kind == "i"
     probs = np.asarray(probs, dtype=np.int64 if integral else np.float64)
@@ -215,35 +321,32 @@ def _distribution_pieces(dist: Distribution, head: str = "", tail: str = ""):
         raise ValidationError("cannot serialize a non-finite probability")
     if not len(probs):
         return iter((head + "{}" + tail,))
-    # Keyed on bit patterns, so -0.0 stays apart from 0.0.
-    first, inverse = _group(probs.view(np.uint64))
-    fmt = b"%-24d" if integral else b"%-24.17g"
-    padded = (fmt * len(first)) % tuple(probs[first].tolist())
-    table = np.frombuffer(padded.replace(b" ", b"\0"), f"V{_VALUE_BYTES}")
-    return itertools.chain((head + "{",), _record_pieces(dist, table, inverse), ("}" + tail,))
+    batches = _value_batches(probs, b"%-24d" if integral else b"%-24.17g")
+    return itertools.chain((head + "{",), _record_pieces(dist, batches), ("}" + tail,))
 
 
-def _record_pieces(dist: Distribution, table: np.ndarray, inverse: np.ndarray):
+def _record_pieces(dist: Distribution, batches):
     """The entries, a chunk at a time, built without a Python object per
     entry: each chunk fills a matrix of fixed-width records (head, value
-    from ``table`` NUL-padded, ``, ``) whose NUL padding one mask drops.
-    The last record loses its ``, ``."""
+    from its batch's rows NUL-padded, ``, ``) whose NUL padding one mask
+    drops.  The last record loses its ``, ``."""
     key_bytes = max(dist.width, 1)  # bitstring_bytes gives S1 at width 0
     support = np.asarray(dist.support)
     value_at = key_bytes + 4
-    records = np.empty((min(len(inverse), _CHUNK), value_at + _VALUE_BYTES + 2), np.uint8)
+    records = np.empty((min(len(support), _CHUNK), value_at + _VALUE_BYTES + 2), np.uint8)
     records[:, :value_at] = _record_head(key_bytes)
     records[:, -2:] = np.frombuffer(b", ", np.uint8)
-    for start in range(0, len(inverse), _CHUNK):
-        index = support[start : start + _CHUNK]
-        chunk = records[: len(index)]
-        keys = bitstring_bytes(index, dist.width).view(np.uint8)
-        chunk[:, 1 : value_at - 3] = keys.reshape(len(index), key_bytes)
-        del keys  # not held while the next chunk is made
-        chunk[:, value_at:-2] = _take_rows(table, inverse[start : start + _CHUNK])
-        if start + _CHUNK >= len(inverse):
-            chunk[-1, -2:] = 0
-        yield str(chunk[chunk != 0], "ascii")
+    for lo, (rows, inverse) in zip(range(0, len(support), _BATCH), batches):
+        for start in range(0, len(inverse), _CHUNK):
+            index = support[lo + start : lo + min(start + _CHUNK, len(inverse))]
+            chunk = records[: len(index)]
+            keys = bitstring_bytes(index, dist.width).view(np.uint8)
+            chunk[:, 1 : value_at - 3] = keys.reshape(len(index), key_bytes)
+            del keys  # not held while the next chunk is made
+            chunk[:, value_at:-2] = _take_rows(rows, inverse[start : start + _CHUNK])
+            if lo + start + len(index) == len(support):
+                chunk[-1, -2:] = 0
+            yield str(chunk[chunk != 0], "ascii")
 
 
 def json_pieces(value):
@@ -282,67 +385,9 @@ _PREFIX = (np.tri(_VALUE_BYTES + 1, _VALUE_BYTES, -1, np.uint8) * np.uint8(255))
     f"V{_VALUE_BYTES}").reshape(-1)
 
 _SLICE = 16 * _CHUNK  # bytes read at a time: 256 KiB, the size of core._block's chunk buffer
-_BATCH = 4 * _CHUNK  # records whose tokens are grouped and converted at a time
-_TOKEN_MULT = np.uint64(0x9E3779B97F4A7C15)  # keys _TokenTable
 
 
-class _TokenTable:
-    """The value tokens converted so far, as rows of three 8-byte words, and
-    their values, in the order they came, with an open-addressing hash
-    table of their positions: linear probing from the top bits of ``_fold``
-    with ``_TOKEN_MULT``, the table at most half full.  A row is found only
-    if it equals a stored row word for word, so a hash collision costs a
-    probe, never a wrong value."""
-
-    def __init__(self):
-        self.words, self.values, self.count = np.empty((0, 3), np.uint64), np.empty(0), 0
-        self.slots = np.full(2, -1, np.int32)  # positions in words; -1 is empty
-
-    def _home(self, rows: np.ndarray) -> np.ndarray:
-        """The slot each row's probe starts at."""
-        bits = len(self.slots).bit_length() - 1
-        return (_fold(rows, _TOKEN_MULT) >> np.uint64(64 - bits)).view(np.int64)
-
-    def find(self, rows: np.ndarray) -> np.ndarray:
-        """Per row, the position of the equal stored row, or -1."""
-        found = np.full(len(rows), -1, np.intp)
-        if not self.count:
-            return found
-        todo, at, last = np.arange(len(rows)), self._home(rows), len(self.slots) - 1
-        while len(todo):
-            owner = self.slots[at]
-            live = owner >= 0  # an empty slot ends the probe: the row is new
-            todo, at, owner = todo[live], at[live], owner[live]
-            same = (self.words[owner] == rows[todo]).all(axis=1)
-            found[todo[same]] = owner[same]
-            todo, at = todo[~same], (at[~same] + 1) & last
-        return found
-
-    def add(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """Store ``rows``, distinct and none of them stored yet, and their
-        ``values``."""
-        start, total = self.count, self.count + len(rows)
-        if total > len(self.values):  # room for at least twice as many rows
-            spare = max(total, 2 * len(self.values)) - start
-            self.words = np.concatenate((self.words[:start], np.empty((spare, 3), np.uint64)))
-            self.values = np.concatenate((self.values[:start], np.empty(spare)))
-        self.words[start:total] = rows
-        self.values[start:total] = values
-        self.count = total
-        ids = np.arange(start, total)
-        if 2 * total > len(self.slots):  # a new table of 4-8 slots a row takes every row
-            size = 1 << total.bit_length() + 2
-            self.slots = np.full(size, -1, np.int32 if size <= 2**31 else np.intp)
-            ids = np.arange(total)
-        at, last = self._home(self.words[ids]), len(self.slots) - 1
-        while len(ids):
-            free = self.slots[at] < 0
-            self.slots[at[free]] = ids[free]  # of rows that share a free slot, one is stored
-            left = self.slots[at] != ids
-            ids, at = ids[left], (at[left] + 1) & last
-
-
-def _convert_tokens(tokens: np.ndarray, sizes: np.ndarray, seen: _TokenTable,
+def _convert_tokens(tokens: np.ndarray, sizes: np.ndarray, seen: _ExactTable,
                     out: np.ndarray, last: bool) -> bool:
     """Write the float of each NUL-padded token row of ``tokens`` (its length
     in ``sizes``) to ``out``.  Identical tokens are grouped, the distinct
@@ -353,30 +398,26 @@ def _convert_tokens(tokens: np.ndarray, sizes: np.ndarray, seen: _TokenTable,
     distinct = tokens[rep]
     if (np.count_nonzero(distinct, axis=1)[inverse] != sizes).any():  # a NUL would pass as padding
         return False
-    words = distinct.view(np.uint64)
-    found = seen.find(words)
-    new = np.flatnonzero(found < 0)
-    # ",token" rows; the mask drops the padding.
-    listed = np.insert(distinct[new], 0, ord(","), axis=1)
-    try:
-        parsed = json.loads(b"[%s]" % listed[listed != 0].tobytes()[1:])
-    except ValueError:
+
+    def parse(new):
+        # ",token" rows; the mask drops the padding.
+        listed = np.insert(distinct[new], 0, ord(","), axis=1)
+        try:
+            parsed = json.loads(b"[%s]" % listed[listed != 0].tobytes()[1:])
+        except ValueError:
+            return None
+        # Only floats: a string, array or object could hold a comma, and so
+        # more than one token.
+        return parsed if set(map(type, parsed)) <= {float} else None
+
+    values = seen.lookup(distinct.view(np.uint64), parse, keep=not last)
+    if values is None:
         return False
-    # Only floats: a string, array or object could hold a comma, and so
-    # more than one token.
-    if not set(map(type, parsed)) <= {float}:
-        return False
-    values = np.empty(len(rep))
-    values[new] = parsed
-    known = found >= 0
-    values[known] = seen.values[found[known]]
-    if not last:
-        seen.add(words[new], values[new])
     np.take(values, inverse, out=out)
     return True
 
 
-def read_json_layout(path):
+def read_json_layout(path, support=None):
     """A probability map in exactly the layout ``to_json_text`` writes, read
     with array operations; None for any other file.
 
@@ -391,7 +432,11 @@ def read_json_layout(path):
     cache.  The tokens of ``_BATCH`` records at a time are then converted
     by ``_convert_tokens``, so each distinct token goes through
     ``json.loads`` once and only the keys and values grow with the file.
-    Returns an unchecked ``Distribution``.
+    Given ``support``, a sorted int64 index array such as another result's,
+    each slice's keys are compared with it: when all of them equal it, the
+    result's index is ``support`` itself, and from the first key that
+    differs (or a missing or extra record) the keys go to an index of their
+    own.  Returns an unchecked ``Distribution``.
     """
     with open(path, "rb") as fh:
         opening = fh.read(66)
@@ -415,7 +460,7 @@ def read_json_layout(path):
         # Records of a space, head, one byte and "," each; strictly increasing
         # keys allow at most 2^width.
         most = min(hi // (width + 7) + 1, 1 << width)
-        index = np.empty(most, np.int64)
+        index = np.empty(most, np.int64) if support is None else support
         probs = np.empty(most)
         buf = np.empty(1 + record + min(_SLICE, hi) + _VALUE_BYTES, np.uint8)  # padded to end every window
         windows = sliding_window_view(buf, record)
@@ -423,7 +468,7 @@ def read_json_layout(path):
         room = min(most, _BATCH + len(buf) // (width + 7) + 1)
         tokens = np.empty((room, _VALUE_BYTES), np.uint8)
         sizes = np.empty(room, np.uint8)  # of each value token
-        seen = _TokenTable()
+        seen = _ExactTable(3, np.float64)
         buf[0] = ord(" ")
         fh.seek(1)
         # Bytes carried, bytes to read, records so far and in the batch.
@@ -452,7 +497,12 @@ def read_json_layout(path):
                     return None
                 if count + len(starts) > most:
                     return None
-                index[count : count + len(starts)] = bits_index(head[:, 1 : width + 1])
+                keys = bits_index(head[:, 1 : width + 1])
+                if index is support and not np.array_equal(index[count : count + len(keys)], keys):
+                    index = np.empty(most, np.int64)  # the keys so far were support's
+                    index[:count] = support[:count]
+                if index is not support:
+                    index[count : count + len(keys)] = keys
                 if (np.diff(index[max(count - 1, 0) : count + len(starts)]) <= 0).any():
                     return None
                 batch = slice(filled, filled + len(starts))
@@ -467,6 +517,9 @@ def read_json_layout(path):
                 filled = 0
             kept = end - cut
             buf[:kept] = buf[cut:end]
-    if count < most:  # the arrays were sized for ``most`` entries
-        index, probs = index[:count].copy(), probs[:count].copy()
+    # The arrays were sized for ``most`` entries, and support may list more.
+    if len(index) > count:
+        index = index[:count].copy()
+    if len(probs) > count:
+        probs = probs[:count].copy()
     return Distribution(width, index, probs)

@@ -13,9 +13,11 @@ import sys
 import numpy as np
 
 from .analysis import compare_runs, json_pieces, read_json_layout, validate_distribution
-from .core import Counts, NoiseModel, execute, probabilities
-# sample_counts with a fifth argument, the CDF buffer; under the public name,
-# so spans and tests that wrap cli.sample_counts still see every sampling.
+from .core import Counts, NoiseModel, execute
+# probabilities and sample_counts with one more argument, the float64 buffer
+# of |a|^2 or of the CDF; under the public names, so spans and tests that
+# wrap them still see every call.
+from .core import _probabilities as probabilities
 from .core import _sample_counts as sample_counts
 from .errors import CapacityError, ValidationError
 from .gates import (
@@ -154,14 +156,14 @@ def cmd_run(args) -> int:
     if args.shots is None and args.noise_readout is not None:
         raise ValidationError("--noise-readout needs --shots: only sampled bits are read out")
     state = execute(circuit, noise=noise, rng_seed=args.seed)
+    # The state is not read again, so its own memory holds |a|^2 or the CDF.
+    own = state.amplitudes.view(np.float64)[: 1 << state.num_qubits]
     if args.shots is None:
-        result = probabilities(state)
-        del state  # its memory is free while the result is written
+        result = probabilities(state, own)
+        del state, own  # their memory is free while the result is written
         _emit(result, args)
     else:
-        # The state is not read again, so its own memory holds the CDF.
-        cdf = state.amplitudes.view(np.float64)[: 1 << state.num_qubits]
-        _emit(sample_counts(state, args.shots, args.seed, noise, cdf), args)
+        _emit(sample_counts(state, args.shots, args.seed, noise, own), args)
     return 0
 
 
@@ -170,16 +172,17 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _load_result(path):
+def _load_result(path, support=None):
     """Parse a result file: a counts object or a bitstring->probability map.
 
     A probability map in the layout ``to_json_text`` writes is read as
     arrays, its value tokens a batch at a time, so only its keys and values
-    grow with the file; any other file, counts included, goes through
-    ``json.load``.  Both then take the same checks, so they give the same
-    arrays and the same errors.
+    grow with the file; when its keys equal ``support``, an int64 index
+    array, it shares that array and only its values grow.  Any other file,
+    counts included, goes through ``json.load``.  Both then take the same
+    checks, so they give the same arrays and the same errors.
     """
-    data = read_json_layout(path)
+    data = read_json_layout(path, support)
     if data is None:
         data = read_json(path)
         if not isinstance(data, dict):
@@ -190,7 +193,11 @@ def _load_result(path):
 
 
 def cmd_fidelity(args) -> int:
-    report = compare_runs(_load_result(args.file_a), _load_result(args.file_b), checked=True)
+    # A run and its oracle list the same keys, so the second file is read
+    # against the first's; a Counts side keeps its own.
+    reference = _load_result(args.file_a)
+    support = None if isinstance(reference, Counts) else reference.support
+    report = compare_runs(reference, _load_result(args.file_b, support), checked=True)
     _write(json_pieces(report), sys.stdout)
     return 0
 

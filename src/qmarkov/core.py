@@ -268,7 +268,15 @@ def probabilities(state: Statevector) -> Distribution:
     Basis states with exactly zero amplitude are outside the support (absent
     keys read as probability zero everywhere in this package).
     """
-    return Distribution.from_vector(state.num_qubits, np.abs(state.amplitudes) ** 2)
+    return _probabilities(state, np.empty(1 << state.num_qubits))
+
+
+def _probabilities(state, out) -> Distribution:
+    """``probabilities`` with |a|^2 written to the float64 buffer ``out`` of
+    2^n slots.  A caller done with the state can pass
+    ``state.amplitudes.view(np.float64)[: 1 << n]``, so the dense vector takes
+    no memory beside the state (see ``_squared_magnitudes``)."""
+    return Distribution.from_vector(state.num_qubits, _squared_magnitudes(state.amplitudes, out))
 
 
 @dataclass(frozen=True)
@@ -501,19 +509,27 @@ def counts_to_distribution(counts: Counts) -> Distribution:
     return Distribution(counts.width, counts.support, counts.probs / counts.shots)
 
 
-def _cdf(amplitudes, cdf):
-    """Write the CDF of |a|^2 over ``amplitudes``, normalized and scaled to
-    end at 1, into the float64 buffer ``cdf`` and return it.  |a|^2 goes in
-    ``_CHUNK`` amplitudes at a time, so ``cdf`` may be the amplitudes' own
-    memory: float slot i overlaps amplitude i // 2, which the forward walk has
-    already read.  ``np.abs`` writes to a scratch chunk, never to memory it
-    reads: numpy copies an overlapping operand and then takes a loop that
-    rounds some |a| differently from the whole-array call."""
-    scratch = np.empty(min(len(cdf), _CHUNK))
-    for lo in range(0, len(cdf), _CHUNK):
-        part = cdf[lo : lo + _CHUNK]
+def _squared_magnitudes(amplitudes, out):
+    """Write |a|^2 of each amplitude, bit for bit ``np.abs(amplitudes) ** 2``,
+    into the float64 buffer ``out`` and return it.  It goes in ``_CHUNK``
+    amplitudes at a time, so ``out`` may be the amplitudes' own memory: float
+    slot i overlaps amplitude i // 2, which the forward walk has already
+    read.  ``np.abs`` writes to a scratch chunk, never to memory it reads:
+    numpy copies an overlapping operand and then takes a loop that rounds
+    some |a| differently from the whole-array call."""
+    scratch = np.empty(min(len(out), _CHUNK))
+    for lo in range(0, len(out), _CHUNK):
+        part = out[lo : lo + _CHUNK]
         mag = np.abs(amplitudes[lo : lo + _CHUNK], out=scratch[: len(part)])
         np.multiply(mag, mag, out=part)
+    return out
+
+
+def _cdf(amplitudes, cdf):
+    """Write the CDF of |a|^2 over ``amplitudes``, normalized and scaled to
+    end at 1, into the float64 buffer ``cdf`` and return it; ``cdf`` may be
+    the amplitudes' own memory (see ``_squared_magnitudes``)."""
+    _squared_magnitudes(amplitudes, cdf)
     cdf /= cdf.sum()
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
@@ -556,7 +572,16 @@ def _sample_counts(state, shots, rng_seed, noise, cdf) -> Counts:
     # uniform per shot.  Same draws, same generator state afterwards.
     cdf = _cdf(state.amplitudes, np.empty(1 << n) if cdf is None else cdf)
     rng = np.random.default_rng(rng_seed)
-    outcomes = cdf.searchsorted(rng.random(shots), side="right")
+    # Uniforms in ascending order search the CDF with fewer cache misses;
+    # the outcomes go back to draw order, each shot's readout flips its own.
+    # The sorted uniforms' memory, no longer read, takes the outcomes.
+    draws = rng.random(shots)
+    order = draws.argsort()
+    draws = draws[order]
+    found = cdf.searchsorted(draws, side="right")
+    outcomes = draws.view(np.int64)
+    outcomes[order] = found
+    del draws, order, found
     if flip_prob > 0.0:
         outcomes ^= bits_index(rng.random((shots, n)) < flip_prob)
     index, tallies = np.unique(outcomes, return_counts=True)

@@ -257,6 +257,49 @@ class TestProbabilities:
         assert sum(probabilities(state).values()) == pytest.approx(1.0, abs=1e-10)
 
 
+class TestSquaredMagnitudes:
+    """|a|^2 a chunk at a time (``core._squared_magnitudes``, shared by
+    ``probabilities`` and the sampling CDF) against the whole-array
+    ``np.abs(a) ** 2``, bit for bit: ``np.abs`` is SIMD-dispatched, so CI
+    also runs these at numpy's baseline level."""
+
+    @staticmethod
+    def amplitudes(size):
+        # Magnitudes from subnormals to near 1, and exact zeros.
+        rng = np.random.default_rng(size)
+        scale = 10.0 ** rng.integers(-320, 1, size)
+        amps = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * scale
+        amps[rng.random(size) < 0.1] = 0.0
+        return amps
+
+    @pytest.mark.parametrize("size", [*(1 << n for n in range(1, 19)), core._CHUNK - 1,
+                                      core._CHUNK + 1, 3 * core._CHUNK + 5])
+    def test_matches_whole_array(self, size):
+        amps = self.amplitudes(size)
+        whole = (np.abs(amps) ** 2).tobytes()
+        assert core._squared_magnitudes(amps, np.empty(size)).tobytes() == whole
+        # Into the amplitudes' own memory: float slot i overlaps amplitude i // 2.
+        own = amps.copy()
+        out = core._squared_magnitudes(own, own.view(np.float64)[:size])
+        assert np.shares_memory(out, own)
+        assert out.tobytes() == whole
+
+    def test_probabilities_into_the_state(self):
+        # The public function leaves the state as it was; the CLI's form
+        # writes into the state's memory and gives the same arrays.
+        n = 15
+        amps = self.amplitudes(1 << n)
+        state = Statevector._unchecked(n, amps)
+        before = amps.tobytes()
+        public = probabilities(state)
+        assert amps.tobytes() == before
+        want = Distribution.from_vector(n, np.abs(amps) ** 2)
+        inside = core._probabilities(state, amps.view(np.float64)[: 1 << n])
+        for result in (public, inside):
+            assert np.array_equal(result.support, want.support)
+            assert result.probs.tobytes() == want.probs.tobytes()
+
+
 class TestExecute:
     def test_empty_circuit(self):
         state = execute(Circuit(2, []))
@@ -987,6 +1030,22 @@ class TestSampleCounts:
         finally:
             tracemalloc.stop()
         assert peak <= (8 << n) + (1 << 20)
+
+    def test_peak_memory_per_shot(self):
+        # The CDF is searched in sorted order: the uniforms, their order and
+        # the sorted copy or the found outcomes, 24 bytes a shot, and the
+        # outcomes go back into the sorted uniforms' memory.  Keeping every
+        # array of that search alive took 41 bytes a shot.
+        state = execute(Circuit(2, [GateOp("H", (0,))]))
+        shots = 1 << 18
+        sample_counts(state, 16, 1)  # lazy imports on first use are not the call's memory
+        tracemalloc.start()
+        try:
+            sample_counts(state, shots, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * shots
 
     def test_sampling_consistency(self):
         # empirical vs exact fidelity at 8192 shots, five fixed seeds

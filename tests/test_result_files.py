@@ -30,7 +30,7 @@ def outcome(path, monkeypatch, array_path: bool):
     with monkeypatch.context() as patch:
         patch.setattr(core, "parse_bitstring_map", spy)
         if not array_path:
-            patch.setattr(cli, "read_json_layout", lambda path: None)
+            patch.setattr(cli, "read_json_layout", lambda path, support: None)
         try:
             result = cli._load_result(path)
         except (ValidationError, CapacityError) as exc:
@@ -435,7 +435,7 @@ def test_fidelity_with_itself_is_one(tmp_path, monkeypatch, capsys, drawn, data)
     for array_path in (True, False):
         with monkeypatch.context() as patch:
             if not array_path:
-                patch.setattr(cli, "read_json_layout", lambda path: None)
+                patch.setattr(cli, "read_json_layout", lambda path, support: None)
             assert cli.main(["fidelity", str(path), str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert (report["distance"], report["fidelity"]) == (0.0, 1.0)
@@ -545,3 +545,118 @@ def test_token_groups_checked_byte_for_byte(tmp_path, monkeypatch):
     probs = np.array([0.125000001, 0.125000009, 0.25, 0.49999999])
     text = to_json_text(Distribution(2, np.arange(4), probs)) + "\n"
     assert_paths_agree(tmp_path, monkeypatch, text, accepted=True)
+
+
+def fidelity_report(capsys, monkeypatch, file_a, file_b, shared: bool) -> str:
+    """``qmarkov fidelity`` output; unless ``shared``, the second file is
+    read with an index of its own whatever its keys."""
+    with monkeypatch.context() as patch:
+        if not shared:
+            patch.setattr(cli, "read_json_layout", lambda path, support: read_json_layout(path))
+        assert cli.main(["fidelity", str(file_a), str(file_b)]) == 0
+    return capsys.readouterr().out
+
+
+def shared_key_variants(keys):
+    """Named keys and weights that differ from ``keys`` (even, from 2): a key
+    made odd in the first, middle or last record, that record dropped, or
+    an odd key added before it (after the last)."""
+    weights = np.linspace(1.0, 2.0, len(keys))
+    variants = {"same": (keys, weights)}
+    for name, at in (("first", 0), ("middle", len(keys) // 2), ("last", len(keys) - 1)):
+        odd = keys.copy()
+        odd[at] += 1
+        variants[f"changed-{name}"] = odd, weights
+        variants[f"fewer-{name}"] = np.delete(keys, at), np.delete(weights, at)
+        added = at + 1 if name == "last" else at
+        variants[f"more-{name}"] = (np.insert(keys, added, keys[at] + (1 if name == "last" else -1)),
+                                    np.insert(weights, added, 0.75))
+    return variants
+
+
+@pytest.mark.parametrize("slice_bytes", [200, 1 << 18])
+def test_second_file_read_against_the_first_keys(tmp_path, monkeypatch, capsys, slice_bytes):
+    # Equal keys: the second result's index is the first's own array.  Any
+    # difference in a key or in the record count, in the first, a middle or
+    # the last slice, reads the second file with its own index, the arrays
+    # the reader gives without the first's keys, and the same report.
+    monkeypatch.setattr(analysis, "_SLICE", slice_bytes)
+    width, keys = 11, np.arange(2, 1202, 2)
+    first = tmp_path / "a.json"
+    first.write_text(to_json_text(Distribution(width, keys, np.full(len(keys), 1 / len(keys))))
+                     + "\n", encoding="utf-8")
+    reference = read_json_layout(first)
+    second = tmp_path / "b.json"
+    for name, (keys, weights) in shared_key_variants(keys).items():
+        assert (np.diff(keys) > 0).all(), name
+        second.write_text(to_json_text(Distribution(width, keys, weights / weights.sum())) + "\n",
+                          encoding="utf-8")
+        alone, against = read_json_layout(second), read_json_layout(second, reference.support)
+        assert np.array_equal(against.support, alone.support), name
+        assert against.probs.tobytes() == alone.probs.tobytes(), name
+        assert np.shares_memory(against.support, reference.support) == (name == "same"), name
+        assert len(against.probs) == len(against.support)
+        assert (fidelity_report(capsys, monkeypatch, first, second, True)
+                == fidelity_report(capsys, monkeypatch, first, second, False)), name
+
+
+def test_fidelity_shares_equal_keys(tmp_path, monkeypatch, capsys, chain_spec_file):
+    # A run and its oracle list the same keys, so the compared sides hold
+    # one index array between them.
+    spec = chain_spec_file(steps=12, p0=0.3, p00=0.6, p01=0.4, p10=0.25, p11=0.75)
+    q, o = tmp_path / "q.json", tmp_path / "o.json"
+    assert cli.main(["run", "--spec", spec, "--out", str(q)]) == 0
+    assert cli.main(["oracle", "--spec", spec, "--out", str(o)]) == 0
+    sides = []
+    compare = cli.compare_runs
+
+    def spy(reference, observed, **kwargs):
+        sides.append((reference, observed))
+        return compare(reference, observed, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "compare_runs", spy)
+        assert cli.main(["fidelity", str(q), str(o)]) == 0
+    shared = capsys.readouterr().out
+    ((reference, observed),) = sides
+    assert np.shares_memory(reference.support, observed.support)
+    assert shared == fidelity_report(capsys, monkeypatch, q, o, False)
+
+
+def test_absorbing_chain_run_against_oracle(tmp_path, monkeypatch, capsys, chain_spec_file):
+    # The README's absorbing chain: run lists the "101" rounding residue that
+    # oracle omits, so either order of the two files has a record the other
+    # lacks, and the reports are those of separate indices.
+    spec = chain_spec_file()
+    q, o = tmp_path / "q.json", tmp_path / "o.json"
+    assert cli.main(["run", "--spec", spec, "--out", str(q)]) == 0
+    assert cli.main(["oracle", "--spec", spec, "--out", str(o)]) == 0
+    assert "101" in json.loads(q.read_text(encoding="utf-8"))
+    assert "101" not in json.loads(o.read_text(encoding="utf-8"))
+    for pair in ((q, o), (o, q)):
+        assert (fidelity_report(capsys, monkeypatch, *pair, True)
+                == fidelity_report(capsys, monkeypatch, *pair, False))
+
+
+def test_counts_sides_keep_their_own_keys(tmp_path, monkeypatch, capsys, chain_spec_file):
+    # A counts file is never read against other keys, nor lends its own.
+    spec = chain_spec_file(steps=6, p0=0.3, p00=0.6, p01=0.4, p10=0.25, p11=0.75)
+    c, o = tmp_path / "c.json", tmp_path / "o.json"
+    assert cli.main(["run", "--spec", spec, "--shots", "--seed", "3", "--out", str(c)]) == 0
+    assert cli.main(["oracle", "--spec", spec, "--out", str(o)]) == 0
+    given_support = []
+    reader = cli.read_json_layout
+
+    def spy(path, support):
+        given_support.append(support)
+        return reader(path, support)
+
+    for pair in ((c, o), (o, c)):
+        given_support.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "read_json_layout", spy)
+            assert cli.main(["fidelity", *map(str, pair)]) == 0
+        report = capsys.readouterr().out
+        assert given_support[0] is None
+        assert (given_support[1] is None) == (pair[0] == c)
+        assert report == fidelity_report(capsys, monkeypatch, *pair, False)

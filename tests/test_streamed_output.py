@@ -4,6 +4,7 @@ never held whole in memory."""
 
 import argparse
 import builtins
+import contextlib
 import os
 import stat
 import tracemalloc
@@ -12,8 +13,8 @@ import weakref
 import numpy as np
 import pytest
 
-from qmarkov import Counts, Distribution, FidelityReport, ValidationError, cli
-from qmarkov.analysis import _CHUNK, json_pieces, to_json_text
+from qmarkov import Counts, Distribution, FidelityReport, ValidationError, analysis, cli
+from qmarkov.analysis import _BATCH, _CHUNK, json_pieces, to_json_text
 
 # Empty, one entry, and chunk edges: the first, two whole chunks, four
 # chunks in, and eight whole chunks.
@@ -53,7 +54,7 @@ def test_run_and_oracle_write_the_text(capsys, tmp_path, monkeypatch, chain_spec
     # old file keeps no tail.  /dev/null takes the text and is not cut.
     spec, out = chain_spec_file(), str(tmp_path / "out.json")
     dist, tallies = distribution(size), counts(size)
-    monkeypatch.setattr(cli, "probabilities", lambda state: dist)
+    monkeypatch.setattr(cli, "probabilities", lambda state, out: dist)
     monkeypatch.setattr(cli, "enumerate_paths", lambda chain: dist)
     monkeypatch.setattr(cli, "sample_counts", lambda *args: tallies)
     for value, argv in [
@@ -174,7 +175,7 @@ def test_refused_run_leaves_the_file(capsys, tmp_path, monkeypatch, chain_spec_f
     out = tmp_path / "out.json"
     out.write_bytes(b"kept\n")
     bad = Distribution(3, np.array([0, 7]), np.array([np.inf, 0.5]))
-    monkeypatch.setattr(cli, "probabilities", lambda state: bad)
+    monkeypatch.setattr(cli, "probabilities", lambda state, out: bad)
     assert cli.main(["run", "--spec", chain_spec_file(), "--out", str(out)]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert out.read_bytes() == b"kept\n"
@@ -182,10 +183,10 @@ def test_refused_run_leaves_the_file(capsys, tmp_path, monkeypatch, chain_spec_f
 
 def test_no_whole_file_text(tmp_path):
     # Writing holds a chunk's text at a time, so the traced peak stays under
-    # 0.75 times the file (it reads 0.58x).  Grouping the 2**18 values takes
-    # most of that, a hash table of two int32 slots per value (int64 slots
-    # made it 0.95x); whole-file text adds at least the file again, and the
-    # writer that joined the text peaked at 2.6x.
+    # 0.75 times the file (it reads 0.30x).  A batch's grouping takes most
+    # of that (grouping all 2**18 values at once made it 0.58x, and with
+    # int64 slots 0.95x); whole-file text adds at least the file again, and
+    # the writer that joined the text peaked at 2.6x.
     width = 18
     rng = np.random.default_rng(18)
     probs = rng.choice(rng.random(4096), size=1 << width)
@@ -223,3 +224,111 @@ def test_exact_run_writes_without_the_state(tmp_path, monkeypatch, chain_spec_fi
     spec = chain_spec_file(steps=18, p0=0.3, p00=0.6, p01=0.4, p10=0.25, p11=0.75)
     assert cli.main(["run", "--spec", spec, "--out", str(tmp_path / "q.json")]) == 0
     assert alive == [[False, False]]
+
+
+def entry_by_entry(dist) -> str:
+    """The map's text formatted one entry at a time: ``%d`` for tallies,
+    else ``%.17g``."""
+    fmt = "%d" if dist.probs.dtype.kind == "i" else "%.17g"
+    return "{" + ", ".join(f'"{i:0{dist.width}b}": {fmt % v}'
+                           for i, v in zip(dist.support.tolist(), dist.probs.tolist())) + "}"
+
+
+def repeated_values(size, integral, seed):
+    """``size`` values drawn from one pool, so batches repeat each other's
+    values, with -0.0 beside 0.0 (tallies: 0 beside 2**63 - 1); the first
+    and last values occur nowhere else."""
+    rng = np.random.default_rng(seed)
+    if integral:
+        pool = np.array([0, 1, 7, 2**63 - 1, *rng.integers(2, 10**12, 300)])
+        ends = [123456789012345, 98765]
+    else:
+        pool = np.array([0.0, -0.0, 5e-324, 1.0, *rng.random(300).tolist()])
+        ends = [0.123456789, 1e-300]
+    values = rng.choice(pool, size)
+    values[[0, -1]] = ends
+    return values
+
+
+@pytest.mark.parametrize("integral", [False, True], ids=["floats", "tallies"])
+@pytest.mark.parametrize("size", [_BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
+def test_batch_edges(size, integral):
+    # Values are formatted a batch at a time, those of later batches looked
+    # up among the ones formatted before: the text is still that of every
+    # entry formatted on its own.
+    width = 18
+    support = np.sort(np.random.default_rng(size).choice(1 << width, size, replace=False))
+    values = repeated_values(size, integral, size)
+    result = (Counts(width, support, values, 1) if integral
+              else Distribution(width, support, values))
+    assert "".join(analysis._distribution_pieces(result)) == entry_by_entry(result)
+
+
+@pytest.mark.parametrize("integral", [False, True], ids=["floats", "tallies"])
+def test_writer_hash_ties_resolved_exactly(monkeypatch, integral):
+    # With the table's multiplier 0 every value hashes to one slot, so each
+    # lookup probes every value stored so far and only the exact compare
+    # tells them apart.  Batches of 64 make later batches look values up;
+    # each distinct bit pattern is still formatted once.
+    monkeypatch.setattr(analysis, "_TOKEN_MULT", np.uint64(0))
+    monkeypatch.setattr(analysis, "_BATCH", 64)
+    formatted = []
+    fmt = analysis._formatted
+
+    def counting(values, spec):
+        formatted.extend(values.view(np.uint64).tolist())
+        return fmt(values, spec)
+
+    monkeypatch.setattr(analysis, "_formatted", counting)
+    values = repeated_values(1000, integral, 7)
+    result = Distribution(10, np.arange(1000), values)
+    assert to_json_text(result) == entry_by_entry(result)
+    assert sorted(formatted) == sorted(set(values.view(np.uint64).tolist()))
+
+
+def test_writer_memory_bounded_by_a_batch(tmp_path):
+    # Grouping and formatting run a batch at a time, so writing holds the
+    # result plus a batch's grouping and a chunk's records, whatever the
+    # size of the map: about 51 bytes per batch entry at 4 and 8 batches,
+    # where grouping the whole map at once took 100 bytes per batch entry
+    # at 4 batches and twice that at 8.
+    rng = np.random.default_rng(18)
+    pool = rng.random(4096)
+    out = tmp_path / "out.json"
+    for width in (18, 19):
+        dist = Distribution(width, np.arange(1 << width), rng.choice(pool, size=1 << width))
+        tracemalloc.start()
+        try:
+            cli._emit(dist, argparse.Namespace(bit_order="time", out=str(out)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * _BATCH, width
+    assert out.read_text(encoding="utf-8") == to_json_text(dist) + "\n"
+
+
+@pytest.mark.parametrize(("command", "batch_bytes"), [("run", 16), ("oracle", 16), ("fidelity", 64)])
+def test_verification_memory_at_n18(tmp_path, chain_spec_file, command, batch_bytes):
+    # Each verification call holds its result arrays plus a batch: at
+    # n = 18 an exact run holds its 4 MiB state and the 4 MiB support and
+    # values taken from it (|a|^2 goes in the state's own memory), and
+    # fidelity holds the first file's 4 MiB of arrays, the second's values
+    # (its keys are the first's) and their 2 MiB of differences.  Reading a
+    # file adds a batch of tokens and their grouping, about 45 bytes per
+    # batch entry over 32 bytes an entry.  The writer's grouping of all
+    # 2**18 values made each call 41-51 bytes an entry.
+    spec = chain_spec_file(steps=18, p0=0.3, p00=0.6, p01=0.4, p10=0.25, p11=0.75)
+    q, o = str(tmp_path / "q.json"), str(tmp_path / "o.json")
+    argv = {"run": ["run", "--spec", spec, "--out", q],
+            "oracle": ["oracle", "--spec", spec, "--out", o],
+            "fidelity": ["fidelity", q, o]}
+    for call in ("run", "oracle"):  # the inputs, and lazy imports on first use
+        assert cli.main(argv[call]) == 0
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv[command]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= (32 << 18) + batch_bytes * _BATCH
