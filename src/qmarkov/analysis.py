@@ -30,7 +30,7 @@ def _checked(side, what: str):
     values summing to 1 within 1e-9, as a ``Distribution``."""
     if isinstance(side, Counts):
         return Counts.from_json_dict({"shots": side.shots, "counts": side})
-    return validate_distribution(side, what)
+    return Distribution.from_mapping(side, what)
 
 
 def _on_union(p, q):
@@ -135,23 +135,17 @@ def _take_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
 _GROUP_ROUNDS = tuple(map(np.uint64, (0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0xD6E8FEB86659FD93)))
 
 
-def _fold(rows: np.ndarray, mult: np.uint64) -> np.ndarray:
-    """A uint64 hash of each row of uint64 words: its words folded into the
-    odd ``mult`` by multiplying and xoring (Knuth, TAOCP vol. 3, 6.4)."""
-    first, *rest = rows.T
-    hashed = first * mult
-    for word in rest:
-        hashed ^= word
-        hashed *= mult
-    return hashed
-
-
 def _owners(rows: np.ndarray, index: np.ndarray, mult: np.uint64) -> np.ndarray:
     """Hash ``rows`` of uint64 words into a table of at least twice as many
-    slots, keeping the top bits of their ``_fold``; per row, the ``index``
-    entry of the last row written to its slot."""
+    slots, keeping the top bits of each row's words folded into the odd
+    ``mult`` by multiplying and xoring (Knuth, TAOCP vol. 3, 6.4); per row,
+    the ``index`` entry of the last row written to its slot."""
     bits = max(len(rows) - 1, 1).bit_length() + 1
-    slot = _fold(rows, mult)
+    first, *rest = rows.T
+    slot = first * mult
+    for word in rest:
+        slot ^= word
+        slot *= mult
     slot >>= np.uint64(64 - bits)
     slot = slot.view(np.int64)  # numpy casts uint64 indices, but not int64 ones
     owner = np.empty(1 << bits, index.dtype)
@@ -203,82 +197,6 @@ def _record_head(width: int) -> np.ndarray:
 
 
 _BATCH = 4 * _CHUNK  # values formatted, or records' tokens converted, at a time
-_TOKEN_MULT = np.uint64(0x9E3779B97F4A7C15)  # keys _ExactTable
-
-
-class _ExactTable:
-    """Rows of ``words`` uint64 words stored so far, each with a payload of
-    ``dtype``, in the order they came, with an open-addressing hash table of
-    their positions: linear probing from the top bits of ``_fold`` with
-    ``_TOKEN_MULT``, the table at most half full.  A row is found only if it
-    equals a stored row word for word, so a hash collision costs a probe,
-    never a wrong payload.  The reader keys value tokens (three words) to
-    their floats, the writer float bit patterns (one word) to their text."""
-
-    def __init__(self, words: int, dtype):
-        self.words, self.values, self.count = np.empty((0, words), np.uint64), np.empty(0, dtype), 0
-        self.slots = np.full(2, -1, np.int32)  # positions in words; -1 is empty
-
-    def _home(self, rows: np.ndarray) -> np.ndarray:
-        """The slot each row's probe starts at."""
-        bits = len(self.slots).bit_length() - 1
-        return (_fold(rows, _TOKEN_MULT) >> np.uint64(64 - bits)).view(np.int64)
-
-    def find(self, rows: np.ndarray) -> np.ndarray:
-        """Per row, the position of the equal stored row, or -1."""
-        found = np.full(len(rows), -1, np.intp)
-        if not self.count:
-            return found
-        todo, at, last = np.arange(len(rows)), self._home(rows), len(self.slots) - 1
-        while len(todo):
-            owner = self.slots[at]
-            live = owner >= 0  # an empty slot ends the probe: the row is new
-            todo, at, owner = todo[live], at[live], owner[live]
-            same = (self.words[owner] == rows[todo]).all(axis=1)
-            found[todo[same]] = owner[same]
-            todo, at = todo[~same], (at[~same] + 1) & last
-        return found
-
-    def add(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """Store ``rows``, distinct and none of them stored yet, and their
-        ``values``."""
-        start, total = self.count, self.count + len(rows)
-        if total > len(self.values):  # room for at least twice as many rows
-            spare = max(total, 2 * len(self.values)) - start
-            more = np.empty((spare, self.words.shape[1]), np.uint64)
-            self.words = np.concatenate((self.words[:start], more))
-            self.values = np.concatenate((self.values[:start], np.empty(spare, self.values.dtype)))
-        self.words[start:total] = rows
-        self.values[start:total] = values
-        self.count = total
-        ids = np.arange(start, total)
-        if 2 * total > len(self.slots):  # a new table of 4-8 slots a row takes every row
-            size = 1 << total.bit_length() + 2
-            self.slots = np.full(size, -1, np.int32 if size <= 2**31 else np.intp)
-            ids = np.arange(total)
-        at, last = self._home(self.words[ids]), len(self.slots) - 1
-        while len(ids):
-            free = self.slots[at] < 0
-            self.slots[at[free]] = ids[free]  # of rows that share a free slot, one is stored
-            left = self.slots[at] != ids
-            ids, at = ids[left], (at[left] + 1) & last
-
-    def lookup(self, rows: np.ndarray, make, keep: bool):
-        """The payload of each of ``rows``, distinct: the stored one, or for
-        the positions ``new`` of the rows not stored, ``make(new)``, which
-        are then stored if ``keep``.  None if ``make`` gives None."""
-        found = self.find(rows)
-        new = np.flatnonzero(found < 0)
-        made = make(new)
-        if made is None:
-            return None
-        values = np.empty(len(rows), self.values.dtype)
-        values[new] = made
-        known = found >= 0
-        values[known] = self.values[found[known]]
-        if keep:
-            self.add(rows[new], made)
-        return values
 
 
 def _formatted(values: np.ndarray, fmt: bytes) -> np.ndarray:
@@ -290,21 +208,12 @@ def _formatted(values: np.ndarray, fmt: bytes) -> np.ndarray:
 def _value_batches(probs: np.ndarray, fmt: bytes):
     """Per ``_BATCH`` values of ``probs``, the formatted rows of the batch's
     distinct values and each value's row, grouped with ``_group`` on bit
-    patterns, so -0.0 stays apart from 0.0.  A map of one batch builds no
-    table; in a longer one each batch looks its distinct values up in an
-    ``_ExactTable`` of the values formatted so far, formats only the new
-    ones and, unless it is the last, stores them."""
+    patterns, so -0.0 stays apart from 0.0: each distinct value is formatted
+    once per batch."""
     bits = probs.view(np.uint64)
-    seen = _ExactTable(1, f"V{_VALUE_BYTES}") if len(bits) > _BATCH else None
     for lo in range(0, len(bits), _BATCH):
         first, inverse = _group(bits[lo : lo + _BATCH])
-        distinct = probs[lo:][first]
-        if seen is None:
-            rows = _formatted(distinct, fmt)
-        else:
-            rows = seen.lookup(distinct.view(np.uint64)[:, None],
-                               lambda new: _formatted(distinct[new], fmt), keep=lo + _BATCH < len(bits))
-        yield rows, inverse
+        yield _formatted(probs[lo:][first], fmt), inverse
 
 
 def _distribution_pieces(dist: Distribution, head: str = "", tail: str = ""):
@@ -312,8 +221,8 @@ def _distribution_pieces(dist: Distribution, head: str = "", tail: str = ""):
     iterator of str pieces: ``head + "{"``, one piece per chunk of at most
     ``_CHUNK`` entries, and ``"}" + tail``.  The value check runs before the
     iterator exists; the values are formatted a batch at a time as the
-    pieces are made, each distinct value once.  A hand-built ``dist`` may
-    hold lists."""
+    pieces are made, each distinct value once per batch.  A hand-built
+    ``dist`` may hold lists."""
     probs = np.asarray(dist.probs)
     integral = probs.dtype.kind == "i"
     probs = np.asarray(probs, dtype=np.int64 if integral else np.float64)
@@ -387,31 +296,24 @@ _PREFIX = (np.tri(_VALUE_BYTES + 1, _VALUE_BYTES, -1, np.uint8) * np.uint8(255))
 _SLICE = 16 * _CHUNK  # bytes read at a time: 256 KiB, the size of core._block's chunk buffer
 
 
-def _convert_tokens(tokens: np.ndarray, sizes: np.ndarray, seen: _ExactTable,
-                    out: np.ndarray, last: bool) -> bool:
+def _convert_tokens(tokens: np.ndarray, sizes: np.ndarray, out: np.ndarray) -> bool:
     """Write the float of each NUL-padded token row of ``tokens`` (its length
-    in ``sizes``) to ``out``.  Identical tokens are grouped, the distinct
-    ones looked up in ``seen``, and only those not there go through one
-    ``json.loads`` and, unless this is the ``last`` batch, into ``seen``.
-    False when a token is not a JSON float."""
+    in ``sizes``) to ``out``.  Identical tokens are grouped, and the distinct
+    ones go through one ``json.loads``.  False when a token is not a JSON
+    float."""
     rep, inverse = _group(tokens.view(np.uint64))  # identical tokens, by their three words
     distinct = tokens[rep]
     if (np.count_nonzero(distinct, axis=1)[inverse] != sizes).any():  # a NUL would pass as padding
         return False
-
-    def parse(new):
-        # ",token" rows; the mask drops the padding.
-        listed = np.insert(distinct[new], 0, ord(","), axis=1)
-        try:
-            parsed = json.loads(b"[%s]" % listed[listed != 0].tobytes()[1:])
-        except ValueError:
-            return None
-        # Only floats: a string, array or object could hold a comma, and so
-        # more than one token.
-        return parsed if set(map(type, parsed)) <= {float} else None
-
-    values = seen.lookup(distinct.view(np.uint64), parse, keep=not last)
-    if values is None:
+    # ",token" rows; the mask drops the padding.
+    listed = np.insert(distinct, 0, ord(","), axis=1)
+    try:
+        values = json.loads(b"[%s]" % listed[listed != 0].tobytes()[1:])
+    except ValueError:
+        return False
+    # Only floats: a string, array or object could hold a comma, and so
+    # more than one token.
+    if not set(map(type, values)) <= {float}:
         return False
     np.take(values, inverse, out=out)
     return True
@@ -431,12 +333,12 @@ def read_json_layout(path, support=None):
     each slice is scanned and its keys and tokens gathered while it is in
     cache.  The tokens of ``_BATCH`` records at a time are then converted
     by ``_convert_tokens``, so each distinct token goes through
-    ``json.loads`` once and only the keys and values grow with the file.
-    Given ``support``, a sorted int64 index array such as another result's,
-    each slice's keys are compared with it: when all of them equal it, the
-    result's index is ``support`` itself, and from the first key that
-    differs (or a missing or extra record) the keys go to an index of their
-    own.  Returns an unchecked ``Distribution``.
+    ``json.loads`` once per batch and only the keys and values grow with
+    the file.  Given ``support``, a sorted int64 index array such as
+    another result's, each slice's keys are compared with it: when all of
+    them equal it, the result's index is ``support`` itself, and from the
+    first key that differs (or a missing or extra record) the keys go to an
+    index of their own.  Returns an unchecked ``Distribution``.
     """
     with open(path, "rb") as fh:
         opening = fh.read(66)
@@ -468,7 +370,6 @@ def read_json_layout(path, support=None):
         room = min(most, _BATCH + len(buf) // (width + 7) + 1)
         tokens = np.empty((room, _VALUE_BYTES), np.uint8)
         sizes = np.empty(room, np.uint8)  # of each value token
-        seen = _ExactTable(3, np.float64)
         buf[0] = ord(" ")
         fh.seek(1)
         # Bytes carried, bytes to read, records so far and in the batch.
@@ -511,8 +412,8 @@ def read_json_layout(path, support=None):
                 sizes[batch] = lengths
                 count, filled = count + len(starts), batch.stop
             if filled and (filled >= _BATCH or not left):
-                if not _convert_tokens(tokens[:filled], sizes[:filled], seen,
-                                       probs[count - filled : count], not left):
+                if not _convert_tokens(tokens[:filled], sizes[:filled],
+                                       probs[count - filled : count]):
                     return None
                 filled = 0
             kept = end - cut

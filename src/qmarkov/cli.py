@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from .analysis import compare_runs, json_pieces, read_json_layout, validate_distribution
-from .core import Counts, NoiseModel, execute
+from .analysis import compare_runs, json_pieces, read_json_layout
+from .core import Counts, Distribution, NoiseModel, execute
 # probabilities and sample_counts with one more argument, the float64 buffer
 # of |a|^2 or of the CDF; under the public names, so spans and tests that
 # wrap them still see every call.
@@ -189,7 +189,7 @@ def _load_result(path, support=None):
             raise ValidationError(f"{path}: expected a JSON object")
     if isinstance(data, dict) and data.keys() & {"shots", "counts"}:  # neither is a bitstring
         return Counts.from_json_dict(data)
-    return validate_distribution(data, str(path))
+    return Distribution.from_mapping(data, str(path))
 
 
 def cmd_fidelity(args) -> int:

@@ -253,9 +253,9 @@ def repeated_values(size, integral, seed):
 @pytest.mark.parametrize("integral", [False, True], ids=["floats", "tallies"])
 @pytest.mark.parametrize("size", [_BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
 def test_batch_edges(size, integral):
-    # Values are formatted a batch at a time, those of later batches looked
-    # up among the ones formatted before: the text is still that of every
-    # entry formatted on its own.
+    # Values are formatted a batch at a time, each batch's distinct values
+    # on their own, though later batches repeat them: the text is still that
+    # of every entry formatted on its own.
     width = 18
     support = np.sort(np.random.default_rng(size).choice(1 << width, size, replace=False))
     values = repeated_values(size, integral, size)
@@ -266,24 +266,35 @@ def test_batch_edges(size, integral):
 
 @pytest.mark.parametrize("integral", [False, True], ids=["floats", "tallies"])
 def test_writer_hash_ties_resolved_exactly(monkeypatch, integral):
-    # With the table's multiplier 0 every value hashes to one slot, so each
-    # lookup probes every value stored so far and only the exact compare
-    # tells them apart.  Batches of 64 make later batches look values up;
-    # each distinct bit pattern is still formatted once.
-    monkeypatch.setattr(analysis, "_TOKEN_MULT", np.uint64(0))
+    # With every grouping multiplier 0 all values hash to one slot, so each
+    # round settles one group and only the exact compare tells values
+    # apart.  In batches of 64, each _formatted call gets distinct bit
+    # patterns, and the calls together format every distinct one.
+    monkeypatch.setattr(analysis, "_GROUP_ROUNDS", (np.uint64(0),) * 3)
     monkeypatch.setattr(analysis, "_BATCH", 64)
     formatted = []
     fmt = analysis._formatted
 
     def counting(values, spec):
-        formatted.extend(values.view(np.uint64).tolist())
+        formatted.append(values.view(np.uint64).tolist())
         return fmt(values, spec)
 
     monkeypatch.setattr(analysis, "_formatted", counting)
     values = repeated_values(1000, integral, 7)
     result = Distribution(10, np.arange(1000), values)
     assert to_json_text(result) == entry_by_entry(result)
-    assert sorted(formatted) == sorted(set(values.view(np.uint64).tolist()))
+    assert all(len(set(bits)) == len(bits) for bits in formatted)
+    assert set().union(*formatted) == set(values.view(np.uint64).tolist())
+
+
+def traced_write_peak(dist, out):
+    """The traced peak of ``cli._emit`` writing ``dist`` to ``out``."""
+    tracemalloc.start()
+    try:
+        cli._emit(dist, argparse.Namespace(bit_order="time", out=str(out)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_writer_memory_bounded_by_a_batch(tmp_path):
@@ -291,19 +302,23 @@ def test_writer_memory_bounded_by_a_batch(tmp_path):
     # result plus a batch's grouping and a chunk's records, whatever the
     # size of the map: about 51 bytes per batch entry at 4 and 8 batches,
     # where grouping the whole map at once took 100 bytes per batch entry
-    # at 4 batches and twice that at 8.
+    # at 4 batches and twice that at 8.  A map of all-distinct values
+    # formats every value of a batch, so its peak is higher, but it does not
+    # grow from 2**18 entries to 2**19 (a cache of every value formatted so
+    # far grew it by 20 MB).
     rng = np.random.default_rng(18)
     pool = rng.random(4096)
     out = tmp_path / "out.json"
     for width in (18, 19):
         dist = Distribution(width, np.arange(1 << width), rng.choice(pool, size=1 << width))
-        tracemalloc.start()
-        try:
-            cli._emit(dist, argparse.Namespace(bit_order="time", out=str(out)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 64 * _BATCH, width
+        assert traced_write_peak(dist, out) <= 64 * _BATCH, width
+    assert out.read_text(encoding="utf-8") == to_json_text(dist) + "\n"
+    peaks = []
+    for width in (18, 19):
+        probs = rng.random(1 << width)
+        dist = Distribution(width, np.arange(1 << width), probs / probs.sum())
+        peaks.append(traced_write_peak(dist, out))
+    assert peaks[1] - peaks[0] <= 64 << 10, peaks
     assert out.read_text(encoding="utf-8") == to_json_text(dist) + "\n"
 
 
