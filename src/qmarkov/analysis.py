@@ -11,17 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (_CHUNK, MAX_KEY_BITS, Counts, Distribution, _ordered_sum, bits_index,
-                   bitstring_bytes, counts_to_distribution)
+from .core import (_CHUNK, MAX_KEY_BITS, Counts, Distribution, _checked_support, _ordered_sum,
+                   bits_index, bitstring_bytes, counts_to_distribution)
 from .errors import ValidationError
 from .gates import _INV_SQRT2
 
 
-def validate_distribution(dist, what: str = "distribution") -> Distribution:
-    """Check a bitstring->probability map: binary keys of one length,
-    non-negative values summing to 1 within 1e-9.  Returns it as a
-    ``Distribution``."""
-    return Distribution.from_mapping(dist, what)
+# Checks a bitstring->probability map and returns it as a ``Distribution``.
+validate_distribution = Distribution.from_mapping
 
 
 def _checked(side, what: str):
@@ -205,24 +202,12 @@ def _formatted(values: np.ndarray, fmt: bytes) -> np.ndarray:
     return np.frombuffer(padded.replace(b" ", b"\0"), f"V{_VALUE_BYTES}")
 
 
-def _value_batches(probs: np.ndarray, fmt: bytes):
-    """Per ``_BATCH`` values of ``probs``, the formatted rows of the batch's
-    distinct values and each value's row, grouped with ``_group`` on bit
-    patterns, so -0.0 stays apart from 0.0: each distinct value is formatted
-    once per batch."""
-    bits = probs.view(np.uint64)
-    for lo in range(0, len(bits), _BATCH):
-        first, inverse = _group(bits[lo : lo + _BATCH])
-        yield _formatted(probs[lo:][first], fmt), inverse
-
-
 def _distribution_pieces(dist: Distribution, head: str = "", tail: str = ""):
     """``head``, ``{"key": value, ...}`` over the support and ``tail``, as an
     iterator of str pieces: ``head + "{"``, one piece per chunk of at most
-    ``_CHUNK`` entries, and ``"}" + tail``.  The value check runs before the
-    iterator exists; the values are formatted a batch at a time as the
-    pieces are made, each distinct value once per batch.  A hand-built
-    ``dist`` may hold lists."""
+    ``_CHUNK`` entries, and ``"}" + tail``.  The support and value checks run
+    before the iterator exists.  A hand-built ``dist`` may hold lists."""
+    support = _checked_support(dist, "result")
     probs = np.asarray(dist.probs)
     integral = probs.dtype.kind == "i"
     probs = np.asarray(probs, dtype=np.int64 if integral else np.float64)
@@ -230,26 +215,31 @@ def _distribution_pieces(dist: Distribution, head: str = "", tail: str = ""):
         raise ValidationError("cannot serialize a non-finite probability")
     if not len(probs):
         return iter((head + "{}" + tail,))
-    batches = _value_batches(probs, b"%-24d" if integral else b"%-24.17g")
-    return itertools.chain((head + "{",), _record_pieces(dist, batches), ("}" + tail,))
+    fmt = b"%-24d" if integral else b"%-24.17g"
+    pieces = _record_pieces(dist.width, support, probs, fmt)
+    return itertools.chain((head + "{",), pieces, ("}" + tail,))
 
 
-def _record_pieces(dist: Distribution, batches):
+def _record_pieces(width: int, support: np.ndarray, probs: np.ndarray, fmt: bytes):
     """The entries, a chunk at a time, built without a Python object per
-    entry: each chunk fills a matrix of fixed-width records (head, value
-    from its batch's rows NUL-padded, ``, ``) whose NUL padding one mask
-    drops.  The last record loses its ``, ``."""
-    key_bytes = max(dist.width, 1)  # bitstring_bytes gives S1 at width 0
-    support = np.asarray(dist.support)
+    entry.  Per ``_BATCH`` values, the batch's distinct values, grouped with
+    ``_group`` on bit patterns so that -0.0 stays apart from 0.0, are each
+    formatted once.  Each chunk fills a matrix of fixed-width records (head,
+    value from its batch's rows NUL-padded, ``, ``) whose NUL padding one
+    mask drops.  The last record loses its ``, ``."""
+    key_bytes = max(width, 1)  # bitstring_bytes gives S1 at width 0
     value_at = key_bytes + 4
     records = np.empty((min(len(support), _CHUNK), value_at + _VALUE_BYTES + 2), np.uint8)
     records[:, :value_at] = _record_head(key_bytes)
     records[:, -2:] = np.frombuffer(b", ", np.uint8)
-    for lo, (rows, inverse) in zip(range(0, len(support), _BATCH), batches):
+    bits = probs.view(np.uint64)
+    for lo in range(0, len(bits), _BATCH):
+        first, inverse = _group(bits[lo : lo + _BATCH])
+        rows = _formatted(probs[lo:][first], fmt)
         for start in range(0, len(inverse), _CHUNK):
             index = support[lo + start : lo + min(start + _CHUNK, len(inverse))]
             chunk = records[: len(index)]
-            keys = bitstring_bytes(index, dist.width).view(np.uint8)
+            keys = bitstring_bytes(index, width).view(np.uint8)
             chunk[:, 1 : value_at - 3] = keys.reshape(len(index), key_bytes)
             del keys  # not held while the next chunk is made
             chunk[:, value_at:-2] = _take_rows(rows, inverse[start : start + _CHUNK])

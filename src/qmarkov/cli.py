@@ -137,19 +137,11 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _noise_from_args(args) -> NoiseModel | None:
-    if args.noise_gate is None and args.noise_readout is None:
-        return None
-    gate = args.noise_gate if args.noise_gate is not None else 0.0
-    readout = args.noise_readout if args.noise_readout is not None else 0.0
-    return NoiseModel(gate, readout)
-
-
 def cmd_run(args) -> int:
     chain = load_chain(args.spec)
     circuit = compile_to_circuit(chain)
-    noise = _noise_from_args(args)
-    if noise is not None and not noise.is_noiseless and args.seed is None:
+    noise = NoiseModel(args.noise_gate or 0.0, args.noise_readout or 0.0)
+    if not noise.is_noiseless and args.seed is None:
         raise ValidationError("--seed is required when noise is enabled")
     if args.shots is not None and args.seed is None:
         raise ValidationError("--seed is required when sampling")

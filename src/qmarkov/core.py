@@ -53,10 +53,9 @@ def configured_max_qubits() -> int:
     return value
 
 
-def check_capacity(width: int, what: str, max_qubits: int | None = None) -> None:
-    """Refuse a ``width``-qubit ``what`` above ``max_qubits``, which defaults
-    to ``configured_max_qubits()``."""
-    limit = configured_max_qubits() if max_qubits is None else max_qubits
+def check_capacity(width: int, what: str) -> None:
+    """Refuse a ``width``-qubit ``what`` above ``configured_max_qubits()``."""
+    limit = configured_max_qubits()
     if width > limit:
         raise CapacityError(f"{what} needs {width} qubits, capacity is {limit}")
 
@@ -97,21 +96,38 @@ def _ordered_sum(size: int, fill) -> float:
     return float(total)
 
 
+def _checked_support(dist, what: str) -> np.ndarray:
+    """A hand-built ``Distribution``'s support as an array, refused unless it
+    is a 1-D int array of strictly increasing indices in [0, 2**width), one
+    per value, for a width in [0, 63]."""
+    width, support = dist.width, np.asarray(dist.support)
+    if not isinstance(width, numbers.Integral) or not 0 <= width <= MAX_KEY_BITS:
+        raise ValidationError(f"{what} has width {width!r}, expected 0 to {MAX_KEY_BITS}")
+    if support.ndim != 1 or np.shape(dist.probs) != support.shape or (
+            len(support) and support.dtype.kind not in "iu"):
+        raise ValidationError(f"{what} needs a 1-D int support with one index per value")
+    if len(support) and (support[0] < 0 or int(support[-1]) >> width
+                         or (support[1:] <= support[:-1]).any()):
+        raise ValidationError(f"{what} needs strictly increasing indices in [0, 2**{width})")
+    return support.astype(np.int64, copy=False)
+
+
 def parse_bitstring_map(mapping, what: str, integral: bool = False):
     """The one validator for ``{bitstring: number}`` input.
 
     Keys must be non-empty binary strings of one width, at most 63 bits (the
     int64 basis index); values finite, non-negative numbers (ints within the
     int64 range when ``integral``), never bools.  A ``Distribution`` is such
-    a map in array form, its keys valid by construction, so only its values
-    are checked.  Returns ``(width, index, values, total)``: each entry's
-    basis index and value (int64 when ``integral``, else float64) sorted by
-    index, and the plain sequential ``sum`` of the values in mapping order.
+    a map in array form, its support checked by ``_checked_support``.
+    Returns ``(width, index, values, total)``: each entry's basis index and
+    value (int64 when ``integral``, else float64) sorted by index, and the
+    plain sequential ``sum`` of the values in mapping order.
     An empty map has width 0.
     """
     dtype = np.dtype(np.int64 if integral else np.float64)
     if isinstance(mapping, Distribution):
-        width, index, raw, order = mapping.width, mapping.support, mapping.probs, slice(None)
+        width, index = mapping.width, _checked_support(mapping, what)
+        raw, order = mapping.probs, slice(None)
         floats = np.asarray(raw).dtype.kind == "f"
     else:
         keys = list(mapping)
@@ -420,10 +436,7 @@ def _check_seed(rng_seed: int | None) -> None:
 
 
 def execute(
-    circuit: Circuit,
-    noise: NoiseModel | None = None,
-    rng_seed: int | None = None,
-    max_qubits: int | None = None,
+    circuit: Circuit, noise: NoiseModel | None = None, rng_seed: int | None = None
 ) -> Statevector:
     """Run a circuit from the all-|0> state, gates in list order.
 
@@ -432,7 +445,7 @@ def execute(
     stochastic X insertions (control first for CNOT), so the result is
     reproducible per seed.
     """
-    check_capacity(circuit.num_qubits, "circuit", max_qubits)
+    check_capacity(circuit.num_qubits, "circuit")
     if noise is not None and not noise.is_noiseless and rng_seed is None:
         raise ValidationError("rng_seed is required when noise is enabled")
     _check_seed(rng_seed)

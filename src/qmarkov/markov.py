@@ -121,9 +121,7 @@ def load_chain(path) -> BinaryMarkovChain:
     return chain_from_dict(read_json(path))
 
 
-def compile_to_circuit(
-    chain: BinaryMarkovChain, max_qubits: int | None = None
-) -> Circuit:
+def compile_to_circuit(chain: BinaryMarkovChain) -> Circuit:
     """Compile the chain onto ``steps`` qubits, qubit t representing step t.
 
     q0 receives the rotation realizing the initial distribution; each
@@ -132,7 +130,7 @@ def compile_to_circuit(
     rotation encoding P(next=1 | current=0) = p01.  Pair parameters are
     identical for every t since the chain is homogeneous.
     """
-    check_capacity(chain.steps, "chain", max_qubits)
+    check_capacity(chain.steps, "chain")
     p01 = chain.transition[0][1]
     p11 = chain.transition[1][1]
     ops = nth_root_x_sequence(solve_rotation_order(chain.initial[0]))

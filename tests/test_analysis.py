@@ -244,6 +244,81 @@ class TestValidateDistribution:
         assert "'10'" in self.message(dist)
 
 
+BAD_SUPPORTS = {
+    "duplicate": (1, np.array([0, 0])),
+    "unsorted": (2, np.array([3, 0])),
+    "negative": (2, np.array([-1, 0])),
+    "out of range": (2, np.array([0, 7])),
+    "out of range, unsorted": (2, np.array([7, 0])),
+    "too short": (2, np.array([0])),
+    "too long": (2, np.array([0, 1, 2])),
+    "float": (2, np.array([0.0, 1.0])),
+    "bool": (2, np.array([False, True])),
+    "2-D": (2, np.array([[0, 1]])),
+    "width beyond int64 keys": (64, np.array([0, 1])),
+    "negative width": (-1, np.array([0, 1])),
+    "fractional width": (1.5, np.array([0, 1])),
+}
+
+
+class TestHandBuiltSupport:
+    """A hand-built ``Distribution`` or ``Counts`` has its keys checked where
+    its values are: every comparison and every writer refuses a support that
+    is not strictly increasing int indices within the width, one per value."""
+
+    @pytest.mark.parametrize("case", BAD_SUPPORTS)
+    def test_distribution_refused(self, case):
+        width, support = BAD_SUPPORTS[case]
+        dist = Distribution(width, support, np.array([0.5, 0.5]))
+        good = Distribution(2, np.array([0, 3]), np.array([0.5, 0.5]))
+        for call in (
+            lambda: to_json_text(dist),
+            lambda: to_json_text(FidelityReport(0.0, dist, 0, 0)),
+            lambda: validate_distribution(dist),
+            lambda: hellinger_distance(dist, good),
+            lambda: hellinger_fidelity(good, dist),
+            lambda: compare_runs(dist, good),
+            lambda: compare_runs(good, dist),
+        ):
+            with pytest.raises(ValidationError):
+                call()
+
+    @pytest.mark.parametrize("case", BAD_SUPPORTS)
+    def test_counts_refused(self, case):
+        width, support = BAD_SUPPORTS[case]
+        counts = Counts(width, support, np.array([2, 3]), 5)
+        good = histogram({"00": 2, "11": 3}, 5)
+        for call in (
+            lambda: to_json_text(counts),
+            lambda: Counts.from_json_dict({"shots": 5, "counts": counts}),
+            lambda: hellinger_distance(counts, good),
+            lambda: compare_runs(good, counts),
+        ):
+            with pytest.raises(ValidationError):
+                call()
+
+    def test_reported_cases(self):
+        # A duplicate key once gave a distance and wrote a key twice, and an
+        # index past the width wrote a wrapped key.
+        twice = Distribution(1, np.array([0, 0]), np.array([0.5, 0.5]))
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            hellinger_distance(twice, {"0": 1.0})
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            to_json_text(twice)
+        with pytest.raises(ValidationError, match=r"\[0, 2\*\*2\)"):
+            to_json_text(Distribution(2, np.array([7, 0]), np.array([0.5, 0.5])))
+
+    def test_valid_edges_accepted(self):
+        top = (1 << 63) - 1
+        for support in (np.array([top]), np.array([top], np.uint64), [top]):
+            text = to_json_text(Distribution(63, support, np.array([1.0])))
+            assert text == '{"%s": 1}' % ("1" * 63)
+        assert to_json_text(Distribution(2, [], [])) == "{}"
+        assert to_json_text(Distribution(0, np.zeros(0, np.int64), np.zeros(0))) == "{}"
+        dist = Distribution(3, np.array([0, 5, 7], np.int32), np.array([0.25, 0.25, 0.5]))
+        assert compare_runs(dist, dict(dist)).hellinger_distance == 0.0
+
+
 class TestCompareRuns:
     def test_self_comparison(self):
         dist = {"00": 0.25, "01": 0.25, "10": 0.5}
@@ -291,11 +366,10 @@ class TestCompareRuns:
             math.sqrt(1.0 - math.sqrt(0.5)), abs=1e-15
         )
 
-    def test_keyword_capacity_then_sampling(self, monkeypatch):
-        monkeypatch.setenv("QSIM_MAX_QUBITS", "2")
+    def test_env_capacity_then_sampling(self, monkeypatch):
         chain = worked_chain()
-        circuit = compile_to_circuit(chain, max_qubits=chain.steps)
-        state = execute(circuit, max_qubits=chain.steps)
+        monkeypatch.setenv("QSIM_MAX_QUBITS", str(chain.steps))
+        state = execute(compile_to_circuit(chain))
         counts = sample_counts(state, 256, 5)
         assert len(next(iter(counts))) == chain.steps > 2
         report = compare_runs(probabilities(state), counts)

@@ -102,6 +102,15 @@ class TestRun:
         assert code == 2
         assert "seed" in err
 
+    @pytest.mark.parametrize("sampled", [(), ("--shots", "--seed", "3")])
+    def test_zero_noise_flags_same_bytes(self, capsys, chain_spec_file, sampled):
+        # Zero noise is no noise: no seed is needed, and the bytes are the same.
+        path = chain_spec_file()
+        zero = ("--noise-gate", "0", *(("--noise-readout", "0") if sampled else ()))
+        code, plain, _ = run_cli(capsys, "run", "--spec", path, *sampled)
+        assert code == 0
+        assert run_cli(capsys, "run", "--spec", path, *sampled, *zero) == (0, plain, "")
+
     def test_sampling_reproducible(self, capsys, chain_spec_file):
         path = chain_spec_file()
         argv = ("run", "--spec", path, "--shots", "2048", "--seed", "11",

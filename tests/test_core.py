@@ -66,10 +66,19 @@ class TestInit:
         with pytest.raises(CapacityError):
             run(25)
 
-    def test_capacity_override_param(self):
+    def test_capacity_env_bounds(self, monkeypatch):
+        # The range ends are limits like any other; outside it the value is
+        # refused before a register is sized.
+        monkeypatch.setenv("QSIM_MAX_QUBITS", "1")
         with pytest.raises(CapacityError):
-            run(5, max_qubits=4)
-        assert len(run(4, max_qubits=4)) == 16
+            run(2)
+        assert len(run(1)) == 2
+        monkeypatch.setenv("QSIM_MAX_QUBITS", "58")
+        assert len(run(4)) == 16
+        for value in ("0", "59"):
+            monkeypatch.setenv("QSIM_MAX_QUBITS", value)
+            with pytest.raises(ValidationError, match=r"\[1, 58\]"):
+                run(1)
 
     def test_capacity_env(self, monkeypatch):
         monkeypatch.setenv("QSIM_MAX_QUBITS", "3")
@@ -398,9 +407,10 @@ class TestExecute:
         )
         np.testing.assert_allclose(state.amplitudes, [1, 0], atol=1e-15)
 
-    def test_capacity(self):
+    def test_capacity(self, monkeypatch):
+        monkeypatch.setenv("QSIM_MAX_QUBITS", "2")
         with pytest.raises(CapacityError):
-            execute(Circuit(3, []), max_qubits=2)
+            execute(Circuit(3, []))
 
     def test_norm_preserved_random_circuits(self):
         rng = np.random.default_rng(77)

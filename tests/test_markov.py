@@ -12,6 +12,7 @@ from qmarkov import (
     TRANSIENT,
     BinaryMarkovChain,
     CapacityError,
+    Circuit,
     ValidationError,
     chain_from_dict,
     classify_states,
@@ -301,6 +302,24 @@ class TestCompile:
         chain = BinaryMarkovChain((1.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), 25)
         with pytest.raises(CapacityError):
             compile_to_circuit(chain)
+
+    @pytest.mark.parametrize("limit", [1, 3, 5])
+    def test_one_capacity_for_every_entry_point(self, monkeypatch, limit):
+        # The quantum route and its oracle accept and refuse the same widths.
+        monkeypatch.setenv("QSIM_MAX_QUBITS", str(limit))
+        for steps in (limit, limit + 1):
+            chain = worked_chain(steps)
+            entry_points = (
+                lambda: compile_to_circuit(chain),
+                lambda: execute(Circuit(steps, [])),
+                lambda: enumerate_paths(chain),
+            )
+            for call in entry_points:
+                if steps > limit:
+                    with pytest.raises(CapacityError, match=f"capacity is {limit}"):
+                        call()
+                else:
+                    call()
 
     def test_degenerate_start_stays_absorbed(self):
         chain = BinaryMarkovChain((1.0, 0.0), ((1.0, 0.0), (0.5, 0.5)), 3)
