@@ -159,14 +159,14 @@ def _group(keys: np.ndarray):
     its slot owner's group only if the two are equal word for word, so
     groups are exact, and equal keys share a slot, so a group is settled in
     one round.  The keys a round leaves go to the next, and as every slot's
-    owner is settled, the rounds end.  Positions are int32 while they fit,
-    which halves the owner table and the gathers.
+    owner is settled, the rounds end.  Positions are int32, which halves the
+    owner table and the gathers: callers group at most ``_BATCH`` keys plus
+    one slice's records, far below 2**31.
     """
     rows = keys[:, None] if keys.ndim == 1 else keys
     words = rows.T
     is_first = np.zeros(len(keys), bool)
-    position = np.int32 if len(keys) < 2**31 else np.intp
-    todo, sub, inverse = np.arange(len(keys), dtype=position), rows, None
+    todo, sub, inverse = np.arange(len(keys), dtype=np.int32), rows, None
     for mult in itertools.cycle(_GROUP_ROUNDS):
         cand = _owners(sub, todo, mult)
         is_first[cand] = True  # every owner is in its own group
@@ -189,8 +189,8 @@ def _group(keys: np.ndarray):
 
 
 def _record_head(width: int) -> np.ndarray:
-    """The record head '"' key '": ' as bytes, its key ``width`` zeros."""
-    return np.frombuffer(b'"' + b"0" * width + b'": ', np.uint8)
+    """The separator space and record head ' "' key '": ' as bytes, key ``width`` zeros."""
+    return np.frombuffer(b' "' + b"0" * width + b'": ', np.uint8)
 
 
 _BATCH = 4 * _CHUNK  # values formatted, or records' tokens converted, at a time
@@ -227,10 +227,9 @@ def _record_pieces(width: int, support: np.ndarray, probs: np.ndarray, fmt: byte
     formatted once.  Each chunk fills a matrix of fixed-width records (head,
     value from its batch's rows NUL-padded, ``, ``) whose NUL padding one
     mask drops.  The last record loses its ``, ``."""
-    key_bytes = max(width, 1)  # bitstring_bytes gives S1 at width 0
-    value_at = key_bytes + 4
+    value_at = width + 4
     records = np.empty((min(len(support), _CHUNK), value_at + _VALUE_BYTES + 2), np.uint8)
-    records[:, :value_at] = _record_head(key_bytes)
+    records[:, :value_at] = _record_head(width)[1:]
     records[:, -2:] = np.frombuffer(b", ", np.uint8)
     bits = probs.view(np.uint64)
     for lo in range(0, len(bits), _BATCH):
@@ -240,7 +239,7 @@ def _record_pieces(width: int, support: np.ndarray, probs: np.ndarray, fmt: byte
             index = support[lo + start : lo + min(start + _CHUNK, len(inverse))]
             chunk = records[: len(index)]
             keys = bitstring_bytes(index, width).view(np.uint8)
-            chunk[:, 1 : value_at - 3] = keys.reshape(len(index), key_bytes)
+            chunk[:, 1 : value_at - 3] = keys.reshape(len(index), width)
             del keys  # not held while the next chunk is made
             chunk[:, value_at:-2] = _take_rows(rows, inverse[start : start + _CHUNK])
             if lo + start + len(index) == len(support):
@@ -286,15 +285,13 @@ _PREFIX = (np.tri(_VALUE_BYTES + 1, _VALUE_BYTES, -1, np.uint8) * np.uint8(255))
 _SLICE = 16 * _CHUNK  # bytes read at a time: 256 KiB, the size of core._block's chunk buffer
 
 
-def _convert_tokens(tokens: np.ndarray, sizes: np.ndarray, out: np.ndarray) -> bool:
-    """Write the float of each NUL-padded token row of ``tokens`` (its length
-    in ``sizes``) to ``out``.  Identical tokens are grouped, and the distinct
-    ones go through one ``json.loads``.  False when a token is not a JSON
-    float."""
+def _convert_tokens(tokens: np.ndarray, out: np.ndarray) -> bool:
+    """Write the float of each NUL-padded token row of ``tokens`` to ``out``;
+    the tokens hold no NUL of their own, as the reader refuses a file with
+    one.  Identical tokens are grouped, and the distinct ones go through one
+    ``json.loads``.  False when a token is not a JSON float."""
     rep, inverse = _group(tokens.view(np.uint64))  # identical tokens, by their three words
     distinct = tokens[rep]
-    if (np.count_nonzero(distinct, axis=1)[inverse] != sizes).any():  # a NUL would pass as padding
-        return False
     # ",token" rows; the mask drops the padding.
     listed = np.insert(distinct, 0, ord(","), axis=1)
     try:
@@ -317,18 +314,19 @@ def read_json_layout(path, support=None):
     then at most 64 bytes of whitespace.  Keys have one width of 1-63 bits
     and strictly increasing indices; each value token has at most 24 bytes
     and loads as a JSON float.  A file that does not open with ``{"0`` or
-    ``{"1``, such as a counts object, is declined on its first bytes.  The
-    file is read ``_SLICE`` bytes at a time into one buffer, and the bytes
-    after a slice's last comma are carried to the front of the next, so
-    each slice is scanned and its keys and tokens gathered while it is in
-    cache.  The tokens of ``_BATCH`` records at a time are then converted
-    by ``_convert_tokens``, so each distinct token goes through
-    ``json.loads`` once per batch and only the keys and values grow with
-    the file.  Given ``support``, a sorted int64 index array such as
-    another result's, each slice's keys are compared with it: when all of
-    them equal it, the result's index is ``support`` itself, and from the
-    first key that differs (or a missing or extra record) the keys go to an
-    index of their own.  Returns an unchecked ``Distribution``.
+    ``{"1``, such as a counts object, is declined on its first bytes, and one
+    with a NUL byte as it is read.  The file is read ``_SLICE`` bytes at a
+    time into one buffer, the bytes after a slice's last comma carried to
+    the front of the next, so each slice's records are checked against one
+    template and their keys and tokens gathered while it is in cache.  The
+    tokens of ``_BATCH`` records at a time are then converted by
+    ``_convert_tokens``, so each distinct token goes through ``json.loads``
+    once per batch and only the keys and values grow with the file.  Given
+    ``support``, a sorted int64 index array such as another result's, each
+    slice's keys are compared with it: when all of them equal it, the
+    result's index is ``support`` itself, and from the first key that
+    differs (or a missing or extra record) the keys go to an index of their
+    own.  Returns an unchecked ``Distribution``.
     """
     with open(path, "rb") as fh:
         opening = fh.read(66)
@@ -343,52 +341,51 @@ def read_json_layout(path, support=None):
             return None
         hi = size - len(tail) + len(body) - 1  # the closing brace
 
-        # Each record is a space (the "{" stands in for the first one), the
-        # head and then the value token, which is cut at its length and
-        # NUL-padded.  Byte minus head is 0, or 0-1 in a key.
-        record = width + 4 + _VALUE_BYTES  # head and the longest token
+        # Each record is the separator space (the "{" stands in for the first
+        # one), the head and then the value token, which is cut at its length
+        # and NUL-padded.  Byte minus template is 0, or 0-1 in a key.
         template = _record_head(width)
+        record = len(template) + _VALUE_BYTES  # the longest record
         limit = (template == ord("0")).view(np.uint8)
         # Records of a space, head, one byte and "," each; strictly increasing
         # keys allow at most 2^width.
         most = min(hi // (width + 7) + 1, 1 << width)
         index = np.empty(most, np.int64) if support is None else support
         probs = np.empty(most)
-        buf = np.empty(1 + record + min(_SLICE, hi) + _VALUE_BYTES, np.uint8)  # padded to end every window
+        buf = np.empty(record + min(_SLICE, hi) + _VALUE_BYTES, np.uint8)  # padded to end every window
         windows = sliding_window_view(buf, record)
         # A batch, and the records of one slice: they start width + 7 bytes apart.
         room = min(most, _BATCH + len(buf) // (width + 7) + 1)
         tokens = np.empty((room, _VALUE_BYTES), np.uint8)
-        sizes = np.empty(room, np.uint8)  # of each value token
         buf[0] = ord(" ")
         fh.seek(1)
         # Bytes carried, bytes to read, records so far and in the batch.
         kept, left, count, filled = 1, hi - 1, 0, 0
         while left:
             step = min(_SLICE, left)
-            if fh.readinto(buf[kept : kept + step]) != step:
+            # A NUL would pass as a token's padding.
+            if fh.readinto(buf[kept : kept + step]) != step or not buf[kept : kept + step].all():
                 return None
             left -= step
             end = kept + step
             ends = 1 + np.flatnonzero(buf[1:end] == ord(","))
             cut = ends[-1] + 1 if len(ends) else 0  # the bytes carried to the next slice start here
-            if left and end - cut > 1 + record:
+            if left and end - cut > record:
                 return None  # a record longer than any in the layout
             if not left:
                 ends = np.append(ends, end)  # the closing brace ends the last record
             if len(ends):
                 starts = np.concatenate(([1], ends[:-1] + 2))
                 lengths = ends - starts - (width + 4)  # of each value token
-                if (buf[starts - 1] != ord(" ")).any() or not (
-                        (lengths > 0) & (lengths <= _VALUE_BYTES)).all():
+                if not ((lengths > 0) & (lengths <= _VALUE_BYTES)).all():
                     return None
-                rec = windows[starts]
-                head = rec[:, : width + 4] - template
+                rec = windows[starts - 1]
+                head = rec[:, : width + 5] - template
                 if (head > limit).any():
                     return None
                 if count + len(starts) > most:
                     return None
-                keys = bits_index(head[:, 1 : width + 1])
+                keys = bits_index(head[:, 2 : width + 2])
                 if index is support and not np.array_equal(index[count : count + len(keys)], keys):
                     index = np.empty(most, np.int64)  # the keys so far were support's
                     index[:count] = support[:count]
@@ -397,13 +394,11 @@ def read_json_layout(path, support=None):
                 if (np.diff(index[max(count - 1, 0) : count + len(starts)]) <= 0).any():
                     return None
                 batch = slice(filled, filled + len(starts))
-                tokens[batch] = rec[:, width + 4 :]
+                tokens[batch] = rec[:, width + 5 :]
                 tokens[batch] &= _take_rows(_PREFIX, lengths)
-                sizes[batch] = lengths
                 count, filled = count + len(starts), batch.stop
             if filled and (filled >= _BATCH or not left):
-                if not _convert_tokens(tokens[:filled], sizes[:filled],
-                                       probs[count - filled : count]):
+                if not _convert_tokens(tokens[:filled], probs[count - filled : count]):
                     return None
                 filled = 0
             kept = end - cut

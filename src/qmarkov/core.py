@@ -88,21 +88,23 @@ def _ordered_sum(size: int, fill) -> float:
     of one ``np.cumsum`` over all values, bit for bit."""
     scratch = np.empty(min(size, _CHUNK))
     total = 0.0
-    for lo in range(0, size, _CHUNK):
-        part = scratch[: min(size - lo, _CHUNK)]
-        fill(lo, lo + len(part), part)
-        part[0] += total
-        total = np.cumsum(part, out=part)[-1]
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, as Python's is
+        for lo in range(0, size, _CHUNK):
+            part = scratch[: min(size - lo, _CHUNK)]
+            fill(lo, lo + len(part), part)
+            part[0] += total
+            total = np.cumsum(part, out=part)[-1]
     return float(total)
 
 
 def _checked_support(dist, what: str) -> np.ndarray:
     """A hand-built ``Distribution``'s support as an array, refused unless it
     is a 1-D int array of strictly increasing indices in [0, 2**width), one
-    per value, for a width in [0, 63]."""
+    per value, for a width in [1, 63]; width 0 holds the empty result only."""
     width, support = dist.width, np.asarray(dist.support)
-    if not isinstance(width, numbers.Integral) or not 0 <= width <= MAX_KEY_BITS:
-        raise ValidationError(f"{what} has width {width!r}, expected 0 to {MAX_KEY_BITS}")
+    lowest = 1 if support.size else 0
+    if not isinstance(width, numbers.Integral) or not lowest <= width <= MAX_KEY_BITS:
+        raise ValidationError(f"{what} has width {width!r}, expected {lowest} to {MAX_KEY_BITS}")
     if support.ndim != 1 or np.shape(dist.probs) != support.shape or (
             len(support) and support.dtype.kind not in "iu"):
         raise ValidationError(f"{what} needs a 1-D int support with one index per value")
@@ -519,7 +521,7 @@ class Counts(Distribution):
 
 def counts_to_distribution(counts: Counts) -> Distribution:
     """Normalize a histogram by its shot count."""
-    return Distribution(counts.width, counts.support, counts.probs / counts.shots)
+    return Distribution(counts.width, counts.support, np.divide(counts.probs, counts.shots))
 
 
 def _squared_magnitudes(amplitudes, out):

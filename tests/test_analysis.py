@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import worked_chain
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmarkov import analysis, core
+from qmarkov import analysis, cli, core
 from qmarkov import (
     Counts,
     Distribution,
@@ -297,6 +298,25 @@ class TestHandBuiltSupport:
             with pytest.raises(ValidationError):
                 call()
 
+    @pytest.mark.parametrize("result", [Distribution(0, [0], [1.0]), Counts(0, [0], [1], 1)],
+                             ids=["distribution", "counts"])
+    def test_width_zero_with_entries_refused(self, result):
+        # Width 0 holds the empty result only: a result with entries once
+        # wrote {"": 1}, a file both read paths refuse.
+        good = Distribution(1, np.array([0]), np.array([1.0]))
+        for call in (
+            lambda: to_json_text(result),
+            lambda: to_json_text(FidelityReport(0.0, result, 0, 0)),
+            lambda: validate_distribution(result),
+            lambda: Counts.from_json_dict({"shots": 1, "counts": result}),
+            lambda: hellinger_distance(result, good),
+            lambda: hellinger_fidelity(good, result),
+            lambda: compare_runs(result, good),
+            lambda: compare_runs(good, result),
+        ):
+            with pytest.raises(ValidationError, match="width 0, expected 1 to 63"):
+                call()
+
     def test_reported_cases(self):
         # A duplicate key once gave a distance and wrote a key twice, and an
         # index past the width wrote a wrapped key.
@@ -466,6 +486,19 @@ class TestChunkedSums:
             assert repr(total) == repr(sum(values.tolist()))
         if fill == 0.0 and size:  # the whole-array cumsum ends at -0.0; the total reads 0.0
             assert repr(total) == "0.0"
+
+    def test_total_past_the_float_range(self, tmp_path, capsys):
+        # Values that sum past the largest float total inf, as Python's sum
+        # does, and are refused without a numpy overflow warning.
+        path = tmp_path / "huge.json"
+        path.write_text(to_json_text(Distribution(1, np.arange(2), np.full(2, 1.7e308))) + "\n",
+                        encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="sums to inf"):
+                Distribution.from_mapping({"0": 1.7e308, "1": 1.7e308})
+            assert cli.main(["fidelity", str(path), str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path} sums to inf, expected 1 within 1e-09\n"
 
     def test_hellinger_on_unequal_supports(self):
         # Supports that overlap in part: the union spreads each side with

@@ -153,9 +153,20 @@ def test_odd_tokens_and_junk(tmp_path, monkeypatch, tokens, head, tail, shots):
     assert_paths_agree(tmp_path, monkeypatch, head + body + tail)
 
 
+# A canonical two-record map with one byte of each class replaced by NUL or
+# "x": "{", a quote, a key bit, ":", the space after it, a token byte, the
+# comma, the separator space, the second record's quote and key bit, and the
+# last byte before "}".
+TWO_RECORDS = '{"0": 0.25, "1": 0.75}'
+SUBSTITUTED = [TWO_RECORDS[:at] + byte + TWO_RECORDS[at + 1 :]
+               for at in (0, 1, 2, 3, 4, 5, 7, 10, 11, 12, 13, len(TWO_RECORDS) - 2)
+               for byte in "\0x"]
+
+
 @pytest.mark.parametrize(
     "text",
     [
+        *SUBSTITUTED,
         '{"0": 0.5, "0": 0.5}',  # repeated key
         '{"1": 0.5, "0": 0.5}',  # unsorted keys
         '{"0": 0.5, "01": 0.5}',  # mixed widths
